@@ -71,6 +71,16 @@ class SolverFailure(RuntimeError):
     """A mode solve did not reach the requested tolerance."""
 
 
+def _is_positive_number(value):
+    # JSON true/false arrive as bool, which is an int subclass
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
+
+
 @dataclass
 class RunConfig:
     """Run settings, loadable from a flat JSON object.
@@ -127,18 +137,18 @@ class RunConfig:
             raise ConfigError(
                 f"unknown preset {self.preset!r}; choose from {sorted(_PRESETS)}"
             )
-        if not (isinstance(self.mesh_n, int) and self.mesh_n >= 1):
-            raise ConfigError("mesh_n must be an integer >= 1")
-        if not (isinstance(self.truncation, int) and self.truncation >= 0):
-            raise ConfigError("truncation must be an integer >= 0")
+        for name, least in (
+            ("mesh_n", 1),
+            ("truncation", 0),
+            ("minres_maxit", 1),
+            ("majorant_maxit", 1),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, int) and value >= least):
+                raise ConfigError(f"{name} must be an integer >= {least}")
         for name in ("period", "sigma", "nu", "minres_tol", "majorant_tol"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ConfigError(f"{name} must be a positive number")
-        for name in ("minres_maxit", "majorant_maxit"):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 1):
-                raise ConfigError(f"{name} must be an integer >= 1")
+            if not _is_positive_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite positive number")
         alphas = self.alphas
         if isinstance(alphas, (int, float)):
             alphas = (alphas,)
@@ -146,13 +156,13 @@ class RunConfig:
             alphas = tuple(float(a) for a in alphas)
         except (TypeError, ValueError) as exc:
             raise ConfigError("alphas must be a list of positive numbers") from exc
-        if not alphas or any(not a > 0 for a in alphas):
-            raise ConfigError("alphas must be a non-empty list of positive numbers")
+        if not alphas or not all(_is_positive_number(a) for a in alphas):
+            raise ConfigError(
+                "alphas must be a non-empty list of finite positive numbers"
+            )
         self.alphas = alphas
-        if self.friedrichs is not None and not (
-            isinstance(self.friedrichs, (int, float)) and self.friedrichs > 0
-        ):
-            raise ConfigError("friedrichs must be a positive number")
+        if self.friedrichs is not None and not _is_positive_number(self.friedrichs):
+            raise ConfigError("friedrichs must be a finite positive number")
         if self.output is not None and not isinstance(self.output, str):
             raise ConfigError("output must be a directory path string")
         for name in ("exact_substitution", "write_mesh"):

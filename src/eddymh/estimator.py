@@ -191,6 +191,23 @@ def residuals_ocp(mesh, coefficients, period, k, eta, zeta, tau, rho, desired, a
     return tuple(sums)
 
 
+def _forward_weights(beta, cf):
+    # weights of the equation residual (with the tail) and the flux defect
+    return cf * cf * (1.0 + beta), (1.0 + beta) / beta
+
+
+def _ocp_weights(betas, cf):
+    # weights of R1 (with the tail), R2, R3 and R4 in the ocp bound
+    b1, b2, b3 = betas
+    cf2 = cf * cf
+    return (
+        cf2 * (1.0 + b1) * (1.0 + b2),
+        (1.0 + b1) * (1.0 + b2) / b2,
+        cf2 * (1.0 + b1) * (1.0 + b3) / b1,
+        (1.0 + b1) * (1.0 + b3) / (b1 * b3),
+    )
+
+
 def majorant_forward(r1_sq, r2_sq, constants, beta=None, tail=0.0, form="quadratic"):
     """Forward majorant from space-time summed residual norms.
 
@@ -206,8 +223,8 @@ def majorant_forward(r1_sq, r2_sq, constants, beta=None, tail=0.0, form="quadrat
     if form == "quadratic":
         if beta is None or not beta > 0.0:
             raise ValueError("quadratic form needs beta > 0")
-        val = cf * cf * (1.0 + beta) * a + (1.0 + beta) / beta * r2_sq
-        return val / constants.lower**2
+        w_a, w_b = _forward_weights(beta, cf)
+        return (w_a * a + w_b * r2_sq) / constants.lower**2
     if form == "linear-seminorm":
         return (cf * math.sqrt(a) + math.sqrt(r2_sq)) / constants.lower
     if form == "norm":
@@ -227,14 +244,8 @@ def majorant_ocp(r1_sq, r2_sq, r3_sq, r4_sq, constants, betas, tail=0.0):
     b1, b2, b3 = betas
     if not (b1 > 0.0 and b2 > 0.0 and b3 > 0.0):
         raise ValueError("Young parameters must be positive")
-    cf2 = constants.friedrichs**2
-    a = r1_sq + tail
-    val = (
-        cf2 * (1.0 + b1) * (1.0 + b2) * a
-        + cf2 * (1.0 + b1) * (1.0 + b3) / b1 * r3_sq
-        + (1.0 + b1) * (1.0 + b2) / b2 * r2_sq
-        + (1.0 + b1) * (1.0 + b3) / (b1 * b3) * r4_sq
-    )
+    w_r1, w_r2, w_r3, w_r4 = _ocp_weights(betas, constants.friedrichs)
+    val = w_r1 * (r1_sq + tail) + w_r3 * r3_sq + w_r2 * r2_sq + w_r4 * r4_sq
     return val / constants.lower**2
 
 
@@ -296,6 +307,8 @@ class FluxWorkspace:
     The flux fields carry no boundary condition, so every matrix lives
     on the full edge set: unit-weight curl-curl and mass, plus the
     pairings C_w[i, j] = int w phi_i . curl phi_j for w = sigma, nu, 1.
+    No factor is kept: each ``solve`` factors its SPD matrix once, for
+    all the right-hand sides it is given, and drops the factor.
     """
 
     mesh: object
@@ -325,28 +338,43 @@ class FluxWorkspace:
         )
 
     def solve(self, curl_weight, mass_weight, rhs_list):
-        lu = splu((curl_weight * self.stiffness + mass_weight * self.mass).tocsc())
-        return [lu.solve(np.asarray(r)) for r in rhs_list]
+        """Solutions of (curl_weight K + mass_weight M) x = r, one per r.
+
+        The matrix is SPD, so it is factored with a symmetric fill-reducing
+        ordering and no pivoting; one factorization serves every
+        right-hand side through a single multi-column solve.
+        """
+        lu = splu(
+            (curl_weight * self.stiffness + mass_weight * self.mass).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        return list(lu.solve(np.array(rhs_list).T).T)
 
 
-def _projected_flux(ws, k, pair):
+def _solve_blocks(ws, curl_weight, mass_weight, blocks):
+    # One factorization for every block of right-hand sides; each block
+    # (one field of one mode) comes back as a (cos, sin) pair, a 1-tuple
+    # for the mean mode, whose sine member the residuals ignore.
+    solutions = iter(ws.solve(curl_weight, mass_weight, [r for b in blocks for r in b]))
+    return [tuple(next(solutions) for _ in b) for b in blocks]
+
+
+def _projected_rhs(ws, k, pair):
     # constitutive starting guess: L2 projection of nu curl (field)
     if k == 0:
-        (p0,) = ws.solve(0.0, 1.0, [ws.pair_nu @ pair[0]])
-        return p0, None
-    return tuple(ws.solve(0.0, 1.0, [ws.pair_nu @ pair[0], ws.pair_nu @ pair[1]]))
+        return [ws.pair_nu @ pair[0]]
+    return [ws.pair_nu @ pair[0], ws.pair_nu @ pair[1]]
 
 
-def _forward_flux(ws, period, k, eta, load, beta, cf):
+def _forward_rhs(ws, period, k, eta, load, weights):
     kw = k * period.omega
-    a = cf * cf * (1.0 + beta)
-    b = (1.0 + beta) / beta
+    a, b = weights
     if k == 0:
-        rhs = a * assemble_curl_load(ws.mesh, None, load[0]) + b * (
-            ws.pair_nu @ eta[0]
-        )
-        (tau0,) = ws.solve(a, b, [rhs])
-        return tau0, None
+        return [
+            a * assemble_curl_load(ws.mesh, None, load[0]) + b * (ws.pair_nu @ eta[0])
+        ]
     rhs_cos = (
         a * (assemble_curl_load(ws.mesh, None, load[0]) - kw * (ws.pair_sigma_t @ eta[1]))
         + b * (ws.pair_nu @ eta[0])
@@ -355,17 +383,13 @@ def _forward_flux(ws, period, k, eta, load, beta, cf):
         a * (assemble_curl_load(ws.mesh, None, load[1]) + kw * (ws.pair_sigma_t @ eta[0]))
         + b * (ws.pair_nu @ eta[1])
     )
-    return tuple(ws.solve(a, b, [rhs_cos, rhs_sin]))
+    return [rhs_cos, rhs_sin]
 
 
-def _ocp_fluxes(ws, period, k, eta, zeta, desired, alpha, betas, cf):
+def _ocp_rhs(ws, period, k, eta, zeta, desired, alpha, weights):
+    # (tau, rho) right-hand-side blocks of one mode
     kw = k * period.omega
-    b1, b2, b3 = betas
-    cf2 = cf * cf
-    w_r1 = cf2 * (1.0 + b1) * (1.0 + b2)
-    w_r2 = (1.0 + b1) * (1.0 + b2) / b2
-    w_r3 = cf2 * (1.0 + b1) * (1.0 + b3) / b1
-    w_r4 = (1.0 + b1) * (1.0 + b3) / (b1 * b3)
+    w_r1, w_r2, w_r3, w_r4 = weights
     if k == 0:
         tau_rhs = w_r2 * (ws.pair_nu @ eta[0]) - w_r3 / alpha * (
             ws.pair_one_t @ zeta[0]
@@ -373,9 +397,7 @@ def _ocp_fluxes(ws, period, k, eta, zeta, desired, alpha, betas, cf):
         rho_rhs = w_r1 * (
             ws.pair_one_t @ eta[0] - assemble_curl_load(ws.mesh, None, desired[0])
         ) + w_r4 * (ws.pair_nu @ zeta[0])
-        (tau0,) = ws.solve(w_r3, w_r2, [tau_rhs])
-        (rho0,) = ws.solve(w_r1, w_r4, [rho_rhs])
-        return (tau0, None), (rho0, None)
+        return [tau_rhs], [rho_rhs]
     tau_rhs = []
     rho_rhs = []
     for sign, this, other in ((+1.0, 0, 1), (-1.0, 1, 0)):
@@ -389,9 +411,33 @@ def _ocp_fluxes(ws, period, k, eta, zeta, desired, alpha, betas, cf):
             - assemble_curl_load(ws.mesh, None, desired[this])
         )
         rho_rhs.append(w_r1 * m + w_r4 * (ws.pair_nu @ zeta[this]))
-    tau = tuple(ws.solve(w_r3, w_r2, tau_rhs))
-    rho = tuple(ws.solve(w_r1, w_r4, rho_rhs))
-    return tau, rho
+    return tau_rhs, rho_rhs
+
+
+def _forward_fluxes(ws, period, modes, beta, cf, first):
+    # tau pairs of all modes from one factorization
+    if first:
+        blocks = [_projected_rhs(ws, k, eta) for k, eta, _, _ in modes]
+        return _solve_blocks(ws, 0.0, 1.0, blocks)
+    w = _forward_weights(beta, cf)
+    blocks = [_forward_rhs(ws, period, k, eta, f, w) for k, eta, _, f in modes]
+    return _solve_blocks(ws, *w, blocks)
+
+
+def _ocp_fluxes(ws, period, modes, alpha, betas, cf, first):
+    # (tau pairs, rho pairs) of all modes from one factorization per field,
+    # or one for both fields on the first (projection) step
+    if first:
+        blocks = [_projected_rhs(ws, k, eta) for k, eta, _, _ in modes]
+        blocks += [_projected_rhs(ws, k, zeta) for k, _, zeta, _ in modes]
+        both = _solve_blocks(ws, 0.0, 1.0, blocks)
+        return both[: len(modes)], both[len(modes) :]
+    w = _ocp_weights(betas, cf)
+    blocks = [_ocp_rhs(ws, period, k, eta, zeta, f, alpha, w) for k, eta, zeta, f in modes]
+    w_r1, w_r2, w_r3, w_r4 = w
+    taus = _solve_blocks(ws, w_r3, w_r2, [t for t, _ in blocks])
+    rhos = _solve_blocks(ws, w_r1, w_r4, [r for _, r in blocks])
+    return taus, rhos
 
 
 @dataclass(eq=False)
@@ -455,6 +501,8 @@ def minimize_majorant(
     error_sq : float, optional
         Squared true error quantity; fills the efficiency columns.
     tol : absolute stop threshold on the decrease of the squared bound.
+        It is raised to four ulps of the current bound, so a bound too
+        large for ``tol`` to resolve stops once it only moves by rounding.
 
     Returns a MajorantReport whose trace records, per iteration, the
     parameters in force during the flux solve and the bound they yield.
@@ -462,6 +510,10 @@ def minimize_majorant(
     of nu curl applied to the fields) at unit parameters; from
     iteration 2 on, each step solves the flux subproblems exactly for
     the current parameters, so the recorded bound never increases.
+    Every mode in an iteration shares the flux matrix of each field, so
+    an iteration factors one SPD matrix per field (the mass matrix of
+    iteration 1 once for all fields): the right-hand sides of all modes
+    are built first, solved together, and the residuals evaluated last.
     """
     if kind not in ("forward", "ocp"):
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -476,6 +528,10 @@ def minimize_majorant(
     cf = constants.friedrichs
     mode_list = list(range(period.N + 1)) if mode is None else [int(mode)]
     weights = {k: period.T if k == 0 else 0.5 * period.T for k in mode_list}
+    modes = [
+        (k, state.mode(k), None if adjoint is None else adjoint.mode(k), loads(k))
+        for k in mode_list
+    ]
     betas = (1.0,) if kind == "forward" else (1.0, 1.0, 1.0)
     trace = []
     converged = False
@@ -483,32 +539,23 @@ def minimize_majorant(
     sums = {}
     for iteration in range(1, maxit + 1):
         start = time.perf_counter()
+        if kind == "forward":
+            taus = _forward_fluxes(ws, period, modes, betas[0], cf, iteration == 1)
+            rhos = [None] * len(modes)
+        else:
+            taus, rhos = _ocp_fluxes(
+                ws, period, modes, alpha, betas, cf, iteration == 1
+            )
         sums = {key: 0.0 for key in ("r1", "r2", "r3", "r4")}
-        for k in mode_list:
-            eta = state.mode(k)
-            f = loads(k)
+        for (k, eta, zeta, f), tau, rho in zip(modes, taus, rhos):
             if kind == "forward":
-                if iteration == 1:
-                    tau = _projected_flux(ws, k, eta)
-                else:
-                    tau = _forward_flux(ws, period, k, eta, f, betas[0], cf)
-                r1, r2 = residuals_forward(mesh, coefficients, period, k, eta, tau, f)
-                r3 = r4 = 0.0
+                res = residuals_forward(mesh, coefficients, period, k, eta, tau, f)
             else:
-                zeta = adjoint.mode(k)
-                if iteration == 1:
-                    tau = _projected_flux(ws, k, eta)
-                    rho = _projected_flux(ws, k, zeta)
-                else:
-                    tau, rho = _ocp_fluxes(ws, period, k, eta, zeta, f, alpha, betas, cf)
-                r1, r2, r3, r4 = residuals_ocp(
+                res = residuals_ocp(
                     mesh, coefficients, period, k, eta, zeta, tau, rho, f, alpha
                 )
-            w = weights[k]
-            sums["r1"] += w * r1
-            sums["r2"] += w * r2
-            sums["r3"] += w * r3
-            sums["r4"] += w * r4
+            for key, r in zip(("r1", "r2", "r3", "r4"), res):
+                sums[key] += weights[k] * r
         if kind == "forward":
             value = majorant_forward(
                 sums["r1"], sums["r2"], constants, beta=betas[0], tail=tail
@@ -521,7 +568,9 @@ def minimize_majorant(
         trace.append(
             TraceRow(iteration, time.perf_counter() - start, betas, value, eff)
         )
-        if previous is not None and abs(previous - value) < tol:
+        if previous is not None and abs(previous - value) <= max(
+            tol, 4.0 * np.spacing(value)
+        ):
             converged = True
             break
         previous = value

@@ -79,6 +79,32 @@ def test_config_error_exit_codes(tmp_path):
     assert main(["forward", "--config", shifted]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"mesh_n": True},
+        {"truncation": True},
+        {"minres_maxit": True},
+        {"majorant_maxit": True},
+        {"period": math.inf},
+        {"sigma": math.inf},
+        {"nu": math.inf},
+        {"minres_tol": math.inf},
+        {"majorant_tol": math.inf},
+        {"alphas": [1.0, math.inf]},
+        {"friedrichs": math.inf},
+    ],
+    ids=lambda fields: next(iter(fields)),
+)
+def test_config_rejects_booleans_and_non_finite_numbers(tmp_path, fields):
+    # the trig preset accepts any period, so only validation can stop these
+    base = {"preset": "trig", "mesh_n": 1, "truncation": 1}
+    config = _write_config(tmp_path, **{**base, **fields})
+    out = tmp_path / "out"
+    assert main(["ocp", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_solver_failure_exit_code(tmp_path):
     config = _write_config(tmp_path, mesh_n=2, truncation=1, minres_maxit=2)
     out = tmp_path / "out"

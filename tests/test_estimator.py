@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from eddymh import estimator
 from eddymh.edge_fem import Coefficients, DofMap, field_norms, interpolate_tangential
 from eddymh.estimator import (
     BETA_MAX,
@@ -499,3 +500,87 @@ def test_minimize_majorant_validation():
         minimize_majorant(
             bench.mesh, bench.coefficients, short, "forward", state, loads, consts
         )
+
+
+def _majorant(kind, n, truncation, alpha=None, mode=None, **options):
+    # minimization on a solved benchmark, with the workspace built inside;
+    # without ``mode`` a total run (all modes plus the data remainder)
+    bench = build_benchmark(kind, n, truncation, alpha=alpha)
+    fields, _ = solve_benchmark(bench)
+    state = full_field(bench.dofmap, fields["state"])
+    adjoint = None
+    if kind == "ocp":
+        adjoint = full_field(bench.dofmap, fields["adjoint"])
+    consts = stability_constants(kind, "seminorm", bench.coefficients, alpha=alpha)
+    tail = 0.0
+    if mode is None:
+        tail = remainder(bench.data_profile, PROFILE_NORM_SQ, bench.period)
+    return minimize_majorant(
+        bench.mesh, bench.coefficients, bench.period, kind, state,
+        mode_evaluators(bench), consts, adjoint=adjoint, alpha=alpha, mode=mode,
+        tail=tail, **options,
+    )
+
+
+# Per-iteration squared bounds recorded from the per-mode flux path
+# (one COLAMD-ordered factorization for each mode and field); the batched
+# symmetric-ordered path must reproduce them and their iteration count.
+PER_MODE_PATH_TRACES = [
+    (
+        ("forward", 3, 2, None),
+        [
+            506327.02775076136, 273728.74287852313, 243793.40154823678,
+            243702.230321503, 243702.04018036625, 243702.03979273868,
+            243702.03979194927,
+        ],
+    ),
+    (
+        ("ocp", 2, 1, 0.5),
+        [
+            2801099570.46416, 1144734407.815531, 1097860994.4311504,
+            1097408801.5507166, 1097404822.184806, 1097404787.0327194,
+            1097404786.7208474, 1097404786.718076, 1097404786.7180512,
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("case, expected", PER_MODE_PATH_TRACES)
+def test_batched_flux_path_reproduces_per_mode_traces(case, expected):
+    report = _majorant(*case)
+    assert report.converged
+    values = [row.majorant_sq for row in report.trace]
+    np.testing.assert_allclose(values, expected, rtol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "kind, alpha, per_iteration, saved",
+    [("forward", None, 1, 0), ("ocp", 0.5, 2, 1)],
+)
+def test_flux_factorizations_batched_over_modes(
+    monkeypatch, kind, alpha, per_iteration, saved
+):
+    # one factorization per flux matrix and iteration, for all modes; the
+    # ocp projection step shares one mass-matrix factor between both fields
+    factored = []
+    splu = estimator.splu
+
+    def counting_splu(*args, **kwargs):
+        factored.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "splu", counting_splu)
+    report = _majorant(kind, 2, 2, alpha=alpha)
+    assert len(factored) == per_iteration * len(report.trace) - saved
+
+
+def test_majorant_stop_at_rounding_level():
+    # Mode 1 of this case has a squared bound of about 3.3e12, whose ulp
+    # exceeds the default tol = 1e-4: the bound settles within a few
+    # iterations and then only moves by rounding, which must stop the loop.
+    report = _majorant("ocp", 6, 2, alpha=10.0**-1.9375, mode=1, tol=1e-4, maxit=50)
+    assert np.spacing(report.majorant_sq) > 1e-4
+    assert report.converged
+    assert len(report.trace) < 50
+    values = [row.majorant_sq for row in report.trace]
+    assert all(b <= a * (1 + 1e-10) for a, b in zip(values, values[1:]))
