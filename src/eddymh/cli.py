@@ -270,10 +270,17 @@ def _run_case(config, problem, preset, alpha, verbose):
     workspace = FluxWorkspace.from_mesh(bench.mesh, bench.coefficients)
     loads = mode_evaluators(bench)
 
-    def err_sq(piece):
+    def err_sq(piece, what):
         value = piece(errors["state"])
         if adjoint is not None:
             value += piece(errors["adjoint"])
+        # the efficiency index divides by it; at extreme periods the
+        # exact and discrete mode amplitudes both vanish
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(
+                f"the exact error of {what} is {value!r} at period "
+                f"{config.period!r}, so its efficiency index is undefined"
+            )
         return value
 
     start = time.perf_counter()
@@ -290,7 +297,7 @@ def _run_case(config, problem, preset, alpha, verbose):
             adjoint=adjoint,
             alpha=alpha,
             mode=k,
-            error_sq=err_sq(lambda e, k=k: e.semi_modes[k]),
+            error_sq=err_sq(lambda e, k=k: e.semi_modes[k], f"mode {k}"),
             tol=config.majorant_tol,
             maxit=config.majorant_maxit,
             workspace=workspace,
@@ -314,7 +321,7 @@ def _run_case(config, problem, preset, alpha, verbose):
         adjoint=adjoint,
         alpha=alpha,
         tail=tail,
-        error_sq=err_sq(lambda e: e.semi_total),
+        error_sq=err_sq(lambda e: e.semi_total, "the total"),
         tol=config.majorant_tol,
         maxit=config.majorant_maxit,
         workspace=workspace,

@@ -28,6 +28,7 @@ from eddymh.edge_fem import (
     integrate_squared,
 )
 from eddymh.harmonics import friedrichs_constant
+from eddymh.systems import SPD_SPLU
 
 BETA_MIN = 1e-8
 BETA_MAX = 1e8
@@ -346,9 +347,7 @@ class FluxWorkspace:
         """
         lu = splu(
             (curl_weight * self.stiffness + mass_weight * self.mass).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
+            **SPD_SPLU,
         )
         return list(lu.solve(np.array(rhs_list).T).T)
 
@@ -368,25 +367,30 @@ def _projected_rhs(ws, k, pair):
     return [ws.pair_nu @ pair[0], ws.pair_nu @ pair[1]]
 
 
-def _forward_rhs(ws, period, k, eta, load, weights):
+def _curl_loads(ws, k, load):
+    # (f, curl phi_i) of the mode's data, cosine and sine; fixed over a
+    # minimization, so assembled once
+    members = load[:1] if k == 0 else load
+    return tuple(assemble_curl_load(ws.mesh, None, f) for f in members)
+
+
+def _forward_rhs(ws, period, k, eta, curl_load, weights):
     kw = k * period.omega
     a, b = weights
     if k == 0:
-        return [
-            a * assemble_curl_load(ws.mesh, None, load[0]) + b * (ws.pair_nu @ eta[0])
-        ]
+        return [a * curl_load[0] + b * (ws.pair_nu @ eta[0])]
     rhs_cos = (
-        a * (assemble_curl_load(ws.mesh, None, load[0]) - kw * (ws.pair_sigma_t @ eta[1]))
+        a * (curl_load[0] - kw * (ws.pair_sigma_t @ eta[1]))
         + b * (ws.pair_nu @ eta[0])
     )
     rhs_sin = (
-        a * (assemble_curl_load(ws.mesh, None, load[1]) + kw * (ws.pair_sigma_t @ eta[0]))
+        a * (curl_load[1] + kw * (ws.pair_sigma_t @ eta[0]))
         + b * (ws.pair_nu @ eta[1])
     )
     return [rhs_cos, rhs_sin]
 
 
-def _ocp_rhs(ws, period, k, eta, zeta, desired, alpha, weights):
+def _ocp_rhs(ws, period, k, eta, zeta, curl_desired, alpha, weights):
     # (tau, rho) right-hand-side blocks of one mode
     kw = k * period.omega
     w_r1, w_r2, w_r3, w_r4 = weights
@@ -394,9 +398,9 @@ def _ocp_rhs(ws, period, k, eta, zeta, desired, alpha, weights):
         tau_rhs = w_r2 * (ws.pair_nu @ eta[0]) - w_r3 / alpha * (
             ws.pair_one_t @ zeta[0]
         )
-        rho_rhs = w_r1 * (
-            ws.pair_one_t @ eta[0] - assemble_curl_load(ws.mesh, None, desired[0])
-        ) + w_r4 * (ws.pair_nu @ zeta[0])
+        rho_rhs = w_r1 * (ws.pair_one_t @ eta[0] - curl_desired[0]) + w_r4 * (
+            ws.pair_nu @ zeta[0]
+        )
         return [tau_rhs], [rho_rhs]
     tau_rhs = []
     rho_rhs = []
@@ -408,23 +412,26 @@ def _ocp_rhs(ws, period, k, eta, zeta, desired, alpha, weights):
         m = (
             sign * kw * (ws.pair_sigma_t @ zeta[other])
             + ws.pair_one_t @ eta[this]
-            - assemble_curl_load(ws.mesh, None, desired[this])
+            - curl_desired[this]
         )
         rho_rhs.append(w_r1 * m + w_r4 * (ws.pair_nu @ zeta[this]))
     return tau_rhs, rho_rhs
 
 
-def _forward_fluxes(ws, period, modes, beta, cf, first):
+def _forward_fluxes(ws, period, modes, curl_loads, beta, cf, first):
     # tau pairs of all modes from one factorization
     if first:
         blocks = [_projected_rhs(ws, k, eta) for k, eta, _, _ in modes]
         return _solve_blocks(ws, 0.0, 1.0, blocks)
     w = _forward_weights(beta, cf)
-    blocks = [_forward_rhs(ws, period, k, eta, f, w) for k, eta, _, f in modes]
+    blocks = [
+        _forward_rhs(ws, period, k, eta, g, w)
+        for (k, eta, _, _), g in zip(modes, curl_loads)
+    ]
     return _solve_blocks(ws, *w, blocks)
 
 
-def _ocp_fluxes(ws, period, modes, alpha, betas, cf, first):
+def _ocp_fluxes(ws, period, modes, curl_loads, alpha, betas, cf, first):
     # (tau pairs, rho pairs) of all modes from one factorization per field,
     # or one for both fields on the first (projection) step
     if first:
@@ -433,7 +440,10 @@ def _ocp_fluxes(ws, period, modes, alpha, betas, cf, first):
         both = _solve_blocks(ws, 0.0, 1.0, blocks)
         return both[: len(modes)], both[len(modes) :]
     w = _ocp_weights(betas, cf)
-    blocks = [_ocp_rhs(ws, period, k, eta, zeta, f, alpha, w) for k, eta, zeta, f in modes]
+    blocks = [
+        _ocp_rhs(ws, period, k, eta, zeta, g, alpha, w)
+        for (k, eta, zeta, _), g in zip(modes, curl_loads)
+    ]
     w_r1, w_r2, w_r3, w_r4 = w
     taus = _solve_blocks(ws, w_r3, w_r2, [t for t, _ in blocks])
     rhos = _solve_blocks(ws, w_r1, w_r4, [r for _, r in blocks])
@@ -514,6 +524,8 @@ def minimize_majorant(
     an iteration factors one SPD matrix per field (the mass matrix of
     iteration 1 once for all fields): the right-hand sides of all modes
     are built first, solved together, and the residuals evaluated last.
+    The data's curl loads do not change between iterations and are
+    assembled once per call.
     """
     if kind not in ("forward", "ocp"):
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -532,6 +544,7 @@ def minimize_majorant(
         (k, state.mode(k), None if adjoint is None else adjoint.mode(k), loads(k))
         for k in mode_list
     ]
+    curl_loads = [_curl_loads(ws, k, f) for k, _, _, f in modes]
     betas = (1.0,) if kind == "forward" else (1.0, 1.0, 1.0)
     trace = []
     converged = False
@@ -540,11 +553,13 @@ def minimize_majorant(
     for iteration in range(1, maxit + 1):
         start = time.perf_counter()
         if kind == "forward":
-            taus = _forward_fluxes(ws, period, modes, betas[0], cf, iteration == 1)
+            taus = _forward_fluxes(
+                ws, period, modes, curl_loads, betas[0], cf, iteration == 1
+            )
             rhos = [None] * len(modes)
         else:
             taus, rhos = _ocp_fluxes(
-                ws, period, modes, alpha, betas, cf, iteration == 1
+                ws, period, modes, curl_loads, alpha, betas, cf, iteration == 1
             )
         sums = {key: 0.0 for key in ("r1", "r2", "r3", "r4")}
         for (k, eta, zeta, f), tau, rho in zip(modes, taus, rhos):

@@ -7,7 +7,15 @@ problem (2x2 for the mean mode).  All are solved with preconditioned MINRES
 with block-diagonal preconditioners built from one SPD factor per mode:
 K + k w M_sigma for the forward problem, M + sqrt(alpha) (K + k w M_sigma)
 for the control problem (the sqrt(alpha) weighting keeps iteration counts
-flat across many decades of alpha).
+flat across many decades of alpha).  One preconditioner application is a
+single multi-column solve with that factor, one column per block.
+
+The singular mean mode of the forward problem is gauged on the interior
+nodal potentials: the load is projected onto range(K) with a factor of
+G^T G and the solution onto the M_sigma-orthogonal complement of the
+gradients with a factor of G^T M_sigma G.  Both are sparse SPD factors
+with the symmetric ordering of ``SPD_SPLU``, so no nodal matrix is ever
+held dense.
 """
 
 import time
@@ -19,6 +27,15 @@ from scipy.sparse.linalg import splu
 from eddymh.edge_fem import assemble
 from eddymh.harmonics import FourierField
 from eddymh.mesh import gradient_incidence
+
+# splu arguments for SPD matrices: symmetric fill-reducing ordering, no
+# pivoting.  The MINRES preconditioners keep the default COLAMD ordering,
+# which measured faster for them.
+SPD_SPLU = {
+    "permc_spec": "MMD_AT_PLUS_A",
+    "diag_pivot_thresh": 0.0,
+    "options": {"SymmetricMode": True},
+}
 
 
 @dataclass(eq=False)
@@ -209,7 +226,7 @@ def build_forward(k, matrices, period, u_c, u_s=None):
     lu = splu((K + kw * Ms).tocsc())
 
     def apply_Pinv(r):
-        return np.concatenate([lu.solve(r[:n]), lu.solve(r[n:])])
+        return lu.solve(r.reshape(2, n).T).T.ravel()
 
     def unpack(x):
         return {"y_s": x[:n], "y_c": x[n:]}
@@ -228,8 +245,7 @@ def build_forward0(matrices, u0, consistency_tol=1e-9):
     n = matrices.n
     u0 = np.asarray(u0, dtype=float)
     if G.shape[1] > 0:
-        GtG = (G.T @ G).toarray()
-        z = np.linalg.solve(GtG, G.T @ u0)
+        z = splu((G.T @ G).tocsc(), **SPD_SPLU).solve(G.T @ u0)
         defect = np.linalg.norm(G @ z)
         scale = np.linalg.norm(u0)
         if scale > 0 and defect > consistency_tol * scale:
@@ -238,18 +254,17 @@ def build_forward0(matrices, u0, consistency_tol=1e-9):
                 f"(kernel component {defect / scale:.3e})"
             )
         rhs = u0 - G @ z
-        GtMsG = (G.T @ Ms @ G).toarray()
+        gauge = splu((G.T @ Ms @ G).tocsc(), **SPD_SPLU)
     else:
         rhs = u0.copy()
-        GtMsG = None
+        gauge = None
 
     lu = splu((K + Ms).tocsc())
 
     def postprocess(y):
-        if GtMsG is None:
+        if gauge is None:
             return y
-        c = np.linalg.solve(GtMsG, G.T @ (Ms @ y))
-        return y - G @ c
+        return y - G @ gauge.solve(G.T @ (Ms @ y))
 
     def unpack(x):
         return {"y_c": x}
@@ -305,14 +320,9 @@ def build_ocp(k, matrices, alpha, period, yd_c, yd_s=None):
     lu = splu((M + np.sqrt(alpha) * (K + kw * Ms)).tocsc())
 
     def apply_Pinv(r):
-        return np.concatenate(
-            [
-                lu.solve(r[:n]),
-                lu.solve(r[n : 2 * n]),
-                alpha * lu.solve(r[2 * n : 3 * n]),
-                alpha * lu.solve(r[3 * n :]),
-            ]
-        )
+        x = lu.solve(r.reshape(4, n).T)
+        x[:, 2:] *= alpha
+        return x.T.ravel()
 
     def unpack(x):
         return {
@@ -350,7 +360,9 @@ def build_ocp0(matrices, alpha, yd0):
     lu = splu((M + np.sqrt(alpha) * K).tocsc())
 
     def apply_Pinv(r):
-        return np.concatenate([lu.solve(r[:n]), alpha * lu.solve(r[n:])])
+        x = lu.solve(r.reshape(2, n).T)
+        x[:, 1] *= alpha
+        return x.T.ravel()
 
     def unpack(x):
         return {"y_c": x[:n], "p_c": x[n:]}

@@ -105,6 +105,20 @@ def test_config_rejects_booleans_and_non_finite_numbers(tmp_path, fields):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("command", ["forward", "ocp"])
+def test_vanishing_exact_error_is_a_config_error(tmp_path, capsys, command):
+    # at this period mode 1's exact and discrete amplitudes both vanish,
+    # leaving no error for the efficiency index to divide by
+    config = _write_config(
+        tmp_path, preset="trig", period=1e-300, mesh_n=1, truncation=1
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solver_failure_exit_code(tmp_path):
     config = _write_config(tmp_path, mesh_n=2, truncation=1, minres_maxit=2)
     out = tmp_path / "out"

@@ -24,6 +24,7 @@ from eddymh.presets import (
     scalar_ocp_exact,
     solve_benchmark,
 )
+from eddymh.systems import build_forward, build_ocp, solve_mode
 
 TWO_PI = 2.0 * math.pi
 E2PI = math.exp(TWO_PI) - 1.0
@@ -180,3 +181,39 @@ def test_ocp_benchmark_solves_both_fields():
     for err in errs.values():
         assert math.isfinite(err.semi_total) and err.semi_total > 0.0
         assert err.norm_total >= err.semi_total - 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind, n, N, alpha", [("forward", 3, 3, None), ("ocp", 2, 2, 0.7)]
+)
+def test_concurrent_solve_equals_mode_by_mode_solves(kind, n, N, alpha):
+    bench = build_benchmark(kind, n, N, alpha=alpha)
+    fields, stats = solve_benchmark(bench)
+    assert len(stats) == N + 1
+    for k in range(N + 1):
+        loads = bench.mode_load(k)
+        if kind == "forward":
+            system = build_forward(k, bench.matrices, bench.period, *loads)
+        else:
+            system = build_ocp(k, bench.matrices, alpha, bench.period, *loads)
+        parts, st = solve_mode(system)
+        assert st.iterations == stats[k].iterations
+        assert st.relative_residual == stats[k].relative_residual
+        for name, field in fields.items():
+            prefix = {"state": "y", "adjoint": "p"}[name]
+            if k == 0:
+                np.testing.assert_array_equal(field.mode0, parts[f"{prefix}_c"])
+            else:
+                got_c, got_s = field.mode(k)
+                np.testing.assert_array_equal(got_c, parts[f"{prefix}_c"])
+                np.testing.assert_array_equal(got_s, parts[f"{prefix}_s"])
+
+
+def test_concurrent_solve_raises_a_mode_failure():
+    # a pure-gradient load makes the mean mode inconsistent; the other
+    # modes solve, and the pool must still hand the failure back
+    bench = build_benchmark("forward", 2, 2)
+    G = bench.matrices.G
+    bench.load_vector = np.asarray(G @ np.ones(G.shape[1])).ravel()
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_benchmark(bench)

@@ -59,6 +59,34 @@ def dense_ocp(k, mats, alpha, period):
     )
 
 
+def dense_gauge(mats, u0):
+    # dense reference of the gauge step: the load's projection onto
+    # range(K) and the M_sigma-orthogonal projection off the gradients
+    G = mats.G.toarray()
+    Ms = mats.Msigma.toarray()
+    rhs = u0 - G @ np.linalg.solve(G.T @ G, G.T @ u0)
+
+    def project(y):
+        return y - G @ np.linalg.solve(G.T @ Ms @ G, G.T @ (Ms @ y))
+
+    return rhs, project
+
+
+def divergence_free_load(mesh, dof):
+    return assemble_load(
+        mesh,
+        dof,
+        lambda p: np.stack(
+            [
+                np.zeros(len(p)),
+                np.zeros(len(p)),
+                2.0 * np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]),
+            ],
+            axis=1,
+        ),
+    )
+
+
 def test_minres_identity():
     rng = np.random.default_rng(0)
     b = rng.normal(size=7)
@@ -143,15 +171,7 @@ def test_forward0_zero_load():
 
 def test_forward0_divergence_free_load_and_gauge():
     mesh, dof, mats = setup(2)
-    f = lambda p: np.stack(
-        [
-            np.zeros(len(p)),
-            np.zeros(len(p)),
-            2.0 * np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]),
-        ],
-        axis=1,
-    )
-    u0 = assemble_load(mesh, dof, f)
+    u0 = divergence_free_load(mesh, dof)
     system = build_forward0(mats, u0)  # consistency check must pass
     parts, stats = solve_mode(system, tol=1e-12)
     assert stats.converged
@@ -165,6 +185,49 @@ def test_forward0_divergence_free_load_and_gauge():
     lsq = np.linalg.lstsq(K, system.rhs, rcond=None)[0]
     lsq = lsq - G @ np.linalg.solve(G.T @ Ms @ G, G.T @ (Ms @ lsq))
     assert np.linalg.norm(y - lsq) <= 1e-8 * np.linalg.norm(lsq)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 3.5])
+def test_sparse_gauge_matches_dense_oracle(sigma):
+    mesh, dof, mats = setup(3, sigma=sigma)
+    rng = np.random.default_rng(11)
+    # a consistent load with a kernel component the projection must remove
+    load = divergence_free_load(mesh, dof)
+    kernel = mats.G @ rng.normal(size=mats.G.shape[1])
+    u0 = load + 1e-10 * np.linalg.norm(load) / np.linalg.norm(kernel) * kernel
+    system = build_forward0(mats, u0)
+    rhs, project = dense_gauge(mats, u0)
+    assert np.linalg.norm(system.rhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    y = rng.normal(size=mats.n)
+    want = project(y)
+    assert np.linalg.norm(system.postprocess(y) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kind", ["forward", "ocp", "ocp0"])
+def test_preconditioner_is_the_block_diagonal_inverse(kind):
+    # one multi-column solve per application must equal the blockwise
+    # inverse of blkdiag(P, ..., P/alpha, ...)
+    _, _, mats = setup(2)
+    period = PeriodSpec(TWO_PI, 1)
+    alpha = 0.3
+    kw = period.omega
+    K, M, Ms = (A.toarray() for A in (mats.K, mats.M, mats.Msigma))
+    z = np.zeros(mats.n)
+    if kind == "forward":
+        system = build_forward(1, mats, period, z, z)
+        P, scales = K + kw * Ms, [1.0, 1.0]
+    elif kind == "ocp":
+        system = build_ocp(1, mats, alpha, period, z, z)
+        P, scales = M + np.sqrt(alpha) * (K + kw * Ms), [1.0, 1.0, alpha, alpha]
+    else:
+        system = build_ocp0(mats, alpha, z)
+        P, scales = M + np.sqrt(alpha) * K, [1.0, alpha]
+    r = np.random.default_rng(4).normal(size=system.blocks * mats.n)
+    want = np.concatenate(
+        [s * np.linalg.solve(P, b) for s, b in zip(scales, np.split(r, system.blocks))]
+    )
+    got = system.apply_Pinv(r)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_forward0_inconsistent_load_raises():
