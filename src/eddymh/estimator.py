@@ -209,28 +209,17 @@ def _ocp_weights(betas, cf):
     )
 
 
-def majorant_forward(r1_sq, r2_sq, constants, beta=None, tail=0.0, form="quadratic"):
-    """Forward majorant from space-time summed residual norms.
+def majorant_forward(r1_sq, r2_sq, constants, beta, tail=0.0):
+    """Squared forward majorant M^2(beta) from space-time summed residuals.
 
-    The data remainder ``tail`` joins the equation-residual group.  The
-    quadratic form returns the squared bound M^2(beta); the two others
-    return the plain bound M (seminorm and norm flavors), so callers
-    square them before comparing.
+    The data remainder ``tail`` joins the equation-residual group.
     """
     if min(r1_sq, r2_sq, tail) < 0.0:
         raise ValueError("residual norms must be nonnegative")
-    cf = constants.friedrichs
-    a = r1_sq + tail
-    if form == "quadratic":
-        if beta is None or not beta > 0.0:
-            raise ValueError("quadratic form needs beta > 0")
-        w_a, w_b = _forward_weights(beta, cf)
-        return (w_a * a + w_b * r2_sq) / constants.lower**2
-    if form == "linear-seminorm":
-        return (cf * math.sqrt(a) + math.sqrt(r2_sq)) / constants.lower
-    if form == "norm":
-        return math.sqrt(a + r2_sq) / constants.lower
-    raise ValueError(f"unknown majorant form {form!r}")
+    if not beta > 0.0:
+        raise ValueError("beta must be positive")
+    w_a, w_b = _forward_weights(beta, constants.friedrichs)
+    return (w_a * (r1_sq + tail) + w_b * r2_sq) / constants.lower**2
 
 
 def majorant_ocp(r1_sq, r2_sq, r3_sq, r4_sq, constants, betas, tail=0.0):
@@ -323,11 +312,11 @@ class FluxWorkspace:
     @classmethod
     def from_mesh(cls, mesh, coefficients):
         unit = Coefficients.constant(mesh)
-        stiffness = assemble(mesh, unit, "stiffness").tocsr()
-        mass = assemble(mesh, unit, "mass").tocsr()
-        pair_sigma = assemble_cross(mesh, coefficients.sigma).tocsr()
-        pair_nu = assemble_cross(mesh, coefficients.nu).tocsr()
-        pair_one = assemble_cross(mesh, np.ones(mesh.num_tets)).tocsr()
+        stiffness = assemble(mesh, unit, "stiffness")
+        mass = assemble(mesh, unit, "mass")
+        pair_sigma = assemble_cross(mesh, coefficients.sigma)
+        pair_nu = assemble_cross(mesh, coefficients.nu)
+        pair_one = assemble_cross(mesh, np.ones(mesh.num_tets))
         return cls(
             mesh=mesh,
             coefficients=coefficients,

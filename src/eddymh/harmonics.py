@@ -51,10 +51,6 @@ class FourierField:
                 raise ValueError("all mode vectors must share one dimension")
 
     @property
-    def dimension(self):
-        return self.mode0.shape[0]
-
-    @property
     def N(self):
         return len(self.modes)
 
@@ -69,11 +65,6 @@ class FourierField:
         return FourierField(
             np.zeros_like(self.mode0), [(-s, c) for c, s in self.modes]
         )
-
-    @classmethod
-    def zeros(cls, dimension, N):
-        z = np.zeros(dimension)
-        return cls(z.copy(), [(z.copy(), z.copy()) for _ in range(N)])
 
     def __call__(self, t, period):
         """Evaluate the coefficient vector of the series at time t."""
@@ -146,61 +137,6 @@ def remainder(g, spatial_norm_sq, period, N=None, m=None):
     if tail < -1e-10 * max(total, 1.0):
         raise ValueError("negative Parseval tail: inconsistent coefficients")
     return max(tail, 0.0) * spatial_norm_sq
-
-
-def halftime_products(u, v, Msigma, period):
-    """Weighted half-derivative pairings of two Fourier fields.
-
-    Returns
-    -------
-    plain : float
-        ``(T/2) sum_k k w (u_k^c' M u... v_k^c + u_k^s' M v_k^s)``; with
-        u = v this is the square of the weighted half-time seminorm.
-    perp : float
-        Same sum with v replaced by its perpendicular field; equals the
-        time integral of (sigma dv/dt . u) for trigonometric fields.
-    """
-    if u.dimension != v.dimension:
-        raise ValueError("field dimensions differ")
-    w = period.omega
-    plain = 0.0
-    perp = 0.0
-    for k in range(1, min(u.N, v.N) + 1):
-        uc, us = u.mode(k)
-        vc, vs = v.mode(k)
-        plain += k * w * (uc @ (Msigma @ vc) + us @ (Msigma @ vs))
-        perp += k * w * (us @ (Msigma @ vc) - uc @ (Msigma @ vs))
-    return 0.5 * period.T * plain, 0.5 * period.T * perp
-
-
-def spacetime_norms(e, M, Kcurl, period):
-    """Space-time seminorm^2 and norm^2 of a Fourier field.
-
-    Parameters
-    ----------
-    e : FourierField
-    M : mass matrix (no weight)
-    Kcurl : curl-curl matrix with unit weight
-    period : PeriodSpec
-
-    Returns
-    -------
-    (seminorm_sq, norm_sq)
-        seminorm^2 = T ||curl e_0||^2
-        + (T/2) sum_k (k w ||e_k||^2 + ||curl e_k||^2); the norm replaces
-        k w by (1 + k w) and adds T ||e_0||^2.
-    """
-    T, w = period.T, period.omega
-    c0 = e.mode0
-    semi = T * (c0 @ (Kcurl @ c0))
-    norm = semi + T * (c0 @ (M @ c0))
-    for k in range(1, e.N + 1):
-        ec, es = e.mode(k)
-        m2 = ec @ (M @ ec) + es @ (M @ es)
-        k2 = ec @ (Kcurl @ ec) + es @ (Kcurl @ es)
-        semi += 0.5 * T * (k * w * m2 + k2)
-        norm += 0.5 * T * ((1.0 + k * w) * m2 + k2)
-    return float(semi), float(norm)
 
 
 def friedrichs_constant(box=(1.0, 1.0, 1.0)):

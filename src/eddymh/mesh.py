@@ -64,12 +64,6 @@ class TetMesh:
         return np.setdiff1d(np.arange(self.num_vertices), self.boundary_nodes)
 
 
-def tet_volumes(vertices, tets):
-    """Signed volumes of the tets given by index quadruples."""
-    v = vertices[tets]
-    return np.linalg.det(v[:, 1:] - v[:, :1]) / 6.0
-
-
 def _edge_incidence(tets, num_vertices):
     """Extract global edges and the per-tet (edge index, sign) tables."""
     pairs = tets[:, LOCAL_EDGES]  # (nt, 6, 2)
@@ -134,32 +128,22 @@ def build_box_mesh(n, box=(1.0, 1.0, 1.0)):
     )
     vertices = grid.reshape(-1, 3)
 
-    def vid(i, j, k):
-        return (i * m + j) * m + k
-
-    perms = list(itertools.permutations(range(3)))
-    tets = np.empty((6 * n**3, 4), dtype=np.int64)
-    t = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                base = np.array([i, j, k])
-                for p in perms:
-                    corners = [base.copy()]
-                    c = base.copy()
-                    for axis in p:
-                        c = c.copy()
-                        c[axis] += 1
-                        corners.append(c)
-                    ids = [vid(*c) for c in corners]
-                    # odd permutations give negative volume; swap to fix
-                    inversions = sum(
-                        p[a] > p[b] for a in range(3) for b in range(a + 1, 3)
-                    )
-                    if inversions % 2 == 1:
-                        ids[2], ids[3] = ids[3], ids[2]
-                    tets[t] = ids
-                    t += 1
+    # Kuhn templates: the six monotone lattice paths from a subcube's
+    # lowest corner to its highest, one per axis order, as corner offsets
+    steps = np.eye(3, dtype=np.int64)
+    paths = np.array(
+        [
+            np.vstack([np.zeros(3, dtype=np.int64), np.cumsum(steps[list(p)], axis=0)])
+            for p in itertools.permutations(range(3))
+        ]
+    )
+    # odd permutations give negative volume; swap the last two corners
+    odd = np.linalg.det(paths[:, 1:].astype(float)) < 0.0
+    paths[odd, 2:] = paths[odd, :1:-1]
+    offsets = paths @ np.array([m * m, m, 1])  # (6, 4) vertex id offsets
+    i = np.arange(n)
+    lowest = ((i[:, None, None] * m + i[None, :, None]) * m + i[None, None, :]).ravel()
+    tets = (lowest[:, None, None] + offsets[None]).reshape(-1, 4)
 
     edges, tet_edges, signs = _edge_incidence(tets, vertices.shape[0])
     boundary_edges, boundary_nodes = _boundary_info(tets, edges, vertices.shape[0])
@@ -195,16 +179,3 @@ def gradient_incidence(mesh, interior_only=False):
         G = G[:, mesh.interior_nodes()]
     return G
 
-
-def dump_mesh(mesh):
-    """Plain-text dump (vertices, tets, edges sections) for cross-checks."""
-    lines = ["# vertices"]
-    for i, v in enumerate(mesh.vertices):
-        lines.append(f"{i} {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}")
-    lines.append("# tets")
-    for i, t in enumerate(mesh.tets):
-        lines.append(f"{i} {t[0]} {t[1]} {t[2]} {t[3]}")
-    lines.append("# edges")
-    for i, e in enumerate(mesh.edges):
-        lines.append(f"{i} {e[0]} {e[1]}")
-    return "\n".join(lines) + "\n"

@@ -1,10 +1,13 @@
 """End-to-end checks of the command-line runner."""
 
 import csv
+import dataclasses
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eddymh.cli import (
     EXIT_BOUND,
@@ -57,11 +60,44 @@ def test_config_defaults_and_roundtrip():
         {"problem": "heat"},
         {"preset": "mystery"},
         {"exact_substitution": "yes"},
+        {"preset": []},
+        {"preset": 1},
+        {"alphas": True},
+        {"alphas": [True]},
     ],
 )
 def test_config_rejects_bad_fields(fields):
     with pytest.raises(ConfigError):
         RunConfig.from_dict(fields)
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(10**308, 10**330)
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["forward", "ocp", "trig", "paper-ocp"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from([f.name for f in dataclasses.fields(RunConfig)]), _JSON_VALUES
+    )
+)
+def test_config_from_any_json_object_returns_or_raises_config_error(data):
+    # whatever a JSON config object holds, validation ends in a config or
+    # a ConfigError (exit 2), never in another exception
+    try:
+        RunConfig.from_dict(data)
+    except ConfigError:
+        pass
 
 
 def test_config_error_exit_codes(tmp_path):

@@ -268,8 +268,6 @@ def test_majorant_forward_plugin_value():
         majorant_forward(1.0, 1.0, consts, beta=1.0), 8.0, rtol=1e-14
     )
     assert majorant_forward(0.0, 0.0, consts, beta=1.0) == 0.0
-    assert majorant_forward(0.0, 0.0, consts, form="linear-seminorm") == 0.0
-    assert majorant_forward(0.0, 0.0, consts, form="norm") == 0.0
 
 
 def test_majorant_quadratic_dominates_linear():
@@ -279,7 +277,8 @@ def test_majorant_quadratic_dominates_linear():
         a, b = rng.lognormal(0.0, 2.0, size=2)
         beta = float(rng.lognormal(0.0, 1.5))
         quad = majorant_forward(a, b, consts, beta=beta)
-        lin = majorant_forward(a, b, consts, form="linear-seminorm")
+        # the linear seminorm bound (C_F |R1| + |R2|) / c_lower
+        lin = (consts.friedrichs * math.sqrt(a) + math.sqrt(b)) / consts.lower
         assert quad >= lin**2 * (1.0 - 1e-12)
 
 
@@ -287,8 +286,6 @@ def test_majorant_validation():
     consts = StabilityConstants(1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         majorant_forward(1.0, 1.0, consts, beta=0.0)
-    with pytest.raises(ValueError):
-        majorant_forward(1.0, 1.0, consts, form="cubic")
     with pytest.raises(ValueError):
         majorant_forward(-1.0, 1.0, consts, beta=1.0)
     with pytest.raises(ValueError):

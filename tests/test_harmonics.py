@@ -12,9 +12,7 @@ from eddymh.harmonics import (
     PeriodSpec,
     fourier_coeff,
     friedrichs_constant,
-    halftime_products,
     remainder,
-    spacetime_norms,
 )
 from eddymh.mesh import build_box_mesh, gradient_incidence
 
@@ -116,25 +114,13 @@ def test_parseval_totals():
     assert total == pytest.approx((math.exp(4 * math.pi) - 1.0) / 8.0, rel=1e-8)
 
 
-def test_halftime_products_single_mode():
-    p = PeriodSpec(TWO_PI, 1)
-    M = np.eye(1)
-    v = FourierField(np.zeros(1), [(np.ones(1), np.ones(1))])
-    plain, perp = halftime_products(v, v, M, p)
-    assert plain == pytest.approx(TWO_PI, rel=1e-14)  # (T/2) * 1 * 2
-    assert perp == pytest.approx(0.0, abs=1e-14)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_perp_properties(seed):
     rng = np.random.default_rng(seed)
-    p = PeriodSpec(TWO_PI, 3)
     A = rng.normal(size=(4, 4))
     M = A @ A.T + 4.0 * np.eye(4)
     v = random_field(rng, 4, 3)
-    _, perp_self = halftime_products(v, v, M, p)
-    assert abs(perp_self) <= 1e-12 * max(1.0, abs(halftime_products(v, v, M, p)[0]))
     # involution up to sign, mode-wise
     w = v.perp().perp()
     np.testing.assert_array_equal(w.mode0, 0.0)
@@ -149,85 +135,9 @@ def test_perp_properties(seed):
         assert c @ M @ c + s @ M @ s == pytest.approx(pc @ M @ pc + ps @ M @ ps, rel=1e-13)
 
 
-def test_halftime_against_time_quadrature():
-    rng = np.random.default_rng(42)
-    p = PeriodSpec(TWO_PI, 2)
-    A = rng.normal(size=(3, 3))
-    M = A @ A.T + 3.0 * np.eye(3)
-    y = random_field(rng, 3, 2)
-    v = random_field(rng, 3, 2)
-
-    t, wt = np.polynomial.legendre.leggauss(60)
-    t = 0.5 * TWO_PI * (t + 1.0)
-    wt = 0.5 * TWO_PI * wt
-
-    def eval_field(f, tt):
-        out = np.tile(f.mode0, (len(tt), 1))
-        for k in range(1, f.N + 1):
-            c, s = f.mode(k)
-            out += np.outer(np.cos(k * tt), c) + np.outer(np.sin(k * tt), s)
-        return out
-
-    def eval_dt(f, tt):
-        out = np.zeros((len(tt), f.dimension))
-        for k in range(1, f.N + 1):
-            c, s = f.mode(k)
-            out += k * (np.outer(-np.sin(k * tt), c) + np.outer(np.cos(k * tt), s))
-        return out
-
-    plain, perp = halftime_products(y, v, M, p)
-    dy = eval_dt(y, t)
-    quad_perp = np.einsum("q,qi,ij,qj->", wt, dy, M, eval_field(v, t))
-    quad_plain = -np.einsum("q,qi,ij,qj->", wt, dy, M, eval_field(v.perp(), t))
-    assert perp == pytest.approx(quad_perp, rel=1e-12)
-    assert plain == pytest.approx(quad_plain, rel=1e-12)
-
-
-def test_spacetime_norms_trivial_and_single_mode():
-    p = PeriodSpec(TWO_PI, 1)
-    M = np.eye(2)
-    K = np.zeros((2, 2))
-    z = FourierField.zeros(2, 1)
-    assert spacetime_norms(z, M, K, p) == (0.0, 0.0)
-    e1 = np.array([1.0, 0.0])
-    v = FourierField(np.zeros(2), [(e1, np.zeros(2))])
-    semi, norm = spacetime_norms(v, M, K, p)
-    assert semi == pytest.approx(math.pi, rel=1e-14)
-    assert norm == pytest.approx(TWO_PI, rel=1e-14)
-
-
-def test_spacetime_norms_against_quadrature():
-    rng = np.random.default_rng(3)
-    p = PeriodSpec(TWO_PI, 2)
-    A = rng.normal(size=(3, 3))
-    M = A @ A.T + 3.0 * np.eye(3)
-    B = rng.normal(size=(3, 3))
-    K = B @ B.T  # stands in for the curl pairing
-    v = random_field(rng, 3, 2)
-
-    t, wt = np.polynomial.legendre.leggauss(60)
-    t = 0.5 * TWO_PI * (t + 1.0)
-    wt = 0.5 * TWO_PI * wt
-    vals = np.tile(v.mode0, (len(t), 1))
-    for k in (1, 2):
-        c, s = v.mode(k)
-        vals += np.outer(np.cos(k * t), c) + np.outer(np.sin(k * t), s)
-    curl_energy = np.einsum("q,qi,ij,qj->", wt, vals, K, vals)
-    half_energy, _ = halftime_products(v, v, M, p)
-    semi, norm = spacetime_norms(v, M, K, p)
-    assert semi == pytest.approx(curl_energy + half_energy, rel=1e-12)
-    l2_energy = np.einsum("q,qi,ij,qj->", wt, vals, M, vals)
-    assert norm == pytest.approx(semi + l2_energy, rel=1e-12)
-
-
 def test_field_dimension_mismatch():
     with pytest.raises(ValueError):
         FourierField(np.zeros(2), [(np.zeros(3), np.zeros(3))])
-    p = PeriodSpec(TWO_PI, 1)
-    u = FourierField.zeros(2, 1)
-    v = FourierField.zeros(3, 1)
-    with pytest.raises(ValueError):
-        halftime_products(u, v, np.eye(2), p)
 
 
 def test_friedrichs_constant_values():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,7 @@ from eddymh.mesh import (
     _boundary_info,
     _edge_incidence,
     build_box_mesh,
-    dump_mesh,
     gradient_incidence,
-    tet_volumes,
 )
 
 
@@ -52,6 +52,48 @@ def test_unit_cube_n1_enumeration_oracle():
     assert set(frozenset(t) for t in mesh.tets.tolist()) == set(paths)
 
 
+def kuhn_tets_loop(n):
+    # the subcube-by-subcube loop build_box_mesh used before it was
+    # vectorized, kept as the reference for the tet order
+    m = n + 1
+
+    def vid(i, j, k):
+        return (i * m + j) * m + k
+
+    perms = list(itertools.permutations(range(3)))
+    tets = np.empty((6 * n**3, 4), dtype=np.int64)
+    t = 0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                base = np.array([i, j, k])
+                for p in perms:
+                    corners = [base.copy()]
+                    c = base.copy()
+                    for axis in p:
+                        c = c.copy()
+                        c[axis] += 1
+                        corners.append(c)
+                    ids = [vid(*c) for c in corners]
+                    inversions = sum(
+                        p[a] > p[b] for a in range(3) for b in range(a + 1, 3)
+                    )
+                    if inversions % 2 == 1:
+                        ids[2], ids[3] = ids[3], ids[2]
+                    tets[t] = ids
+                    t += 1
+    return tets
+
+
+@pytest.mark.parametrize("box", [(1.0, 1.0, 1.0), (0.5, 2.0, 3.0)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tets_match_the_loop_oracle(n, box):
+    tets = build_box_mesh(n, box).tets
+    want = kuhn_tets_loop(n)
+    assert tets.dtype == want.dtype
+    np.testing.assert_array_equal(tets, want)
+
+
 @pytest.mark.parametrize(
     "n,edges,free,interior",
     [(1, 19, 1, 0), (2, 98, 26, 1), (3, 279, 117, 8), (4, 604, 316, 27)],
@@ -76,7 +118,8 @@ def test_edge_set_matches_pair_extraction_oracle():
 @pytest.mark.parametrize("n,box", [(1, (1, 1, 1)), (2, (1, 1, 1)), (2, (0.5, 2.0, 3.0))])
 def test_volumes_positive_and_sum(n, box):
     mesh = build_box_mesh(n, box)
-    vols = tet_volumes(mesh.vertices, mesh.tets)
+    v = mesh.vertices[mesh.tets]
+    vols = np.linalg.det(v[:, 1:] - v[:, :1]) / 6.0
     assert np.all(vols > 0.0)
     assert vols.sum() == pytest.approx(np.prod(box), rel=1e-12)
 
@@ -131,10 +174,3 @@ def test_invalid_arguments():
     with pytest.raises(ValueError):
         build_box_mesh(1, (1.0, -1.0, 1.0))
 
-
-def test_dump_sections():
-    mesh = build_box_mesh(1)
-    text = dump_mesh(mesh)
-    assert "# vertices" in text and "# tets" in text and "# edges" in text
-    rows = [l for l in text.splitlines() if l and not l.startswith("#")]
-    assert len(rows) == mesh.num_vertices + mesh.num_tets + mesh.num_edges

@@ -8,7 +8,6 @@ from eddymh.edge_fem import Coefficients, DofMap, assemble_load
 from eddymh.harmonics import PeriodSpec
 from eddymh.mesh import build_box_mesh
 from eddymh.systems import (
-    ControlParams,
     SystemMatrices,
     build_forward,
     build_forward0,
@@ -230,6 +229,73 @@ def test_preconditioner_is_the_block_diagonal_inverse(kind):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def closure_Pinv(system, alpha):
+    # the per-kind preconditioner closures the systems were built with
+    # before they became data, kept as the bitwise reference
+    lu, n = system.lu, system.n
+    if system.kind == "forward0":
+        return lu.solve
+    if system.kind == "forward":
+        return lambda r: lu.solve(r.reshape(2, n).T).T.ravel()
+
+    def apply(r):
+        x = lu.solve(r.reshape(system.blocks, n).T)
+        x[:, system.blocks // 2 :] *= alpha
+        return x.T.ravel()
+
+    return apply
+
+
+def block_formula(system, mats, kw, alpha, x):
+    # the mode operator applied block by block from M, K and M_sigma
+    K, M, Ms = mats.K, mats.M, mats.Msigma
+    b = dict(zip(system.names, np.split(x, system.blocks)))
+    if system.kind == "forward0":
+        rows = [K @ b["y_c"]]
+    elif system.kind == "forward":
+        ys, yc = b["y_s"], b["y_c"]
+        rows = [-kw * (Ms @ ys) - K @ yc, -(K @ ys) + kw * (Ms @ yc)]
+    elif system.kind == "ocp0":
+        yc, pc = b["y_c"], b["p_c"]
+        rows = [M @ yc - K @ pc, -(K @ yc) - (M @ pc) / alpha]
+    else:
+        yc, ys, pc, ps = (b[name] for name in ("y_c", "y_s", "p_c", "p_s"))
+        rows = [
+            M @ yc - K @ pc + kw * (Ms @ ps),
+            M @ ys - kw * (Ms @ pc) - K @ ps,
+            -(K @ yc) - kw * (Ms @ ys) - (M @ pc) / alpha,
+            kw * (Ms @ yc) - K @ ys - (M @ ps) / alpha,
+        ]
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("kind", ["forward", "forward0", "ocp", "ocp0"])
+def test_mode_system_data_matches_block_formula_and_closures(kind):
+    _, _, mats = setup(3, sigma=2.5)
+    period = PeriodSpec(TWO_PI, 2)
+    alpha = 0.3
+    rng = np.random.default_rng(21)
+    u_c, u_s = rng.normal(size=mats.n), rng.normal(size=mats.n)
+    k = 0 if kind.endswith("0") else 2
+    if kind.startswith("forward"):
+        # the mean forward mode needs a load free of gradients
+        u_c = u_c - mats.G @ np.linalg.lstsq(mats.G.toarray(), u_c, rcond=None)[0]
+        system = build_forward(k, mats, period, u_c, u_s)
+    else:
+        system = build_ocp(k, mats, alpha, period, u_c, u_s)
+    assert system.kind == kind
+    x = rng.normal(size=system.blocks * system.n)
+    want = block_formula(system, mats, k * period.omega, alpha, x)
+    np.testing.assert_allclose(
+        system.A @ x, want, rtol=1e-13, atol=1e-13 * np.abs(want).max()
+    )
+    np.testing.assert_array_equal(system.apply_A(x), system.A @ x)
+    np.testing.assert_array_equal(system.apply_Pinv(x), closure_Pinv(system, alpha)(x))
+    parts = system.unpack(x)
+    assert tuple(parts) == system.names
+    np.testing.assert_array_equal(np.concatenate(list(parts.values())), x)
+
+
 def test_forward0_inconsistent_load_raises():
     _, _, mats = setup(2)
     kernel_vec = np.asarray(mats.G @ np.ones(mats.G.shape[1])).ravel()
@@ -325,7 +391,7 @@ def test_mode_zero_routing():
     with pytest.raises(ValueError):
         build_ocp(1, mats, -1.0, period, z, z)
     with pytest.raises(ValueError):
-        ControlParams(0.0)
+        build_ocp(0, mats, 0.0, period, z)
 
 
 def test_preconditioner_factors_are_spd():
