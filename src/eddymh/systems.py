@@ -236,9 +236,9 @@ def build_forward(k, matrices, period, u_c, u_s=None):
         raise ValueError("mode k >= 1 needs both cosine and sine loads")
     kw = k * period.omega
     K, Ms = matrices.K, matrices.Msigma
-    # The operator is built before the factor (in every builder): the
-    # factorization then reuses the heap the stacking freed, which built
-    # after it stayed resident beside the factor.
+    # The operator is built before the factor (as in build_ocp and
+    # build_ocp0): the factorization then reuses the heap the stacking
+    # freed, which built after it stayed resident beside the factor.
     A = _block_operator([[(-kw, Ms), (-1.0, K)], [(-1.0, K), (kw, Ms)]], matrices.n)
     lu = splu((K + kw * Ms).tocsc())
     rhs = np.concatenate([-u_c, -u_s])
