@@ -3,7 +3,8 @@
 ``forward`` and ``ocp`` solve the selected benchmark, minimize the
 guaranteed error bound per mode and in total, and write one CSV table
 per mode plus a JSON report into the output directory.  ``ocp`` sweeps
-the configured list of cost parameters.  ``verify`` runs a fast
+the configured list of cost parameters; one mesh, one set of system
+matrices and one flux workspace serve every alpha.  ``verify`` runs a fast
 self-check suite (element quadrature, gauge kernel, Fourier identities,
 dense-solve agreement, Friedrichs eigenvalue, guaranteed bound) and
 prints a pass/fail table.
@@ -31,6 +32,7 @@ import scipy.linalg
 from .edge_fem import Coefficients, DofMap, interpolate_tangential
 from .estimator import (
     FluxWorkspace,
+    StabilityConstants,
     minimize_majorant,
     stability_constants,
 )
@@ -55,6 +57,9 @@ EXIT_BOUND = 4
 EXIT_CHECK = 5
 
 BOUND_SLACK = 1e-6
+
+# Largest accepted mesh_n (6 n^3 tets); see the README for its footprint.
+MAX_MESH_N = 32
 
 _PRESETS = {
     "paper-forward": ("forward", "exp"),
@@ -148,6 +153,8 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not (isinstance(value, int) and value >= least):
                 raise ConfigError(f"{name} must be an integer >= {least}")
+        if self.mesh_n > MAX_MESH_N:
+            raise ConfigError(f"mesh_n must be at most {MAX_MESH_N}")
         for name in ("period", "sigma", "nu", "minres_tol", "majorant_tol"):
             if not _is_positive_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite positive number")
@@ -198,6 +205,7 @@ class CaseResult:
     """One solved benchmark with its per-mode and total bound reports."""
 
     alpha: float
+    constants: StabilityConstants
     stats: list
     errors: dict
     reports: list
@@ -220,9 +228,7 @@ def _interpolant_fields(bench):
         for k in range(1, bench.period.N + 1):
             c, s = exact(k)
             modes.append((float(c) * free, float(s) * free))
-        return reconstruct([mode0] + modes, bench.period) if modes else FourierField(
-            mode0, []
-        )
+        return reconstruct([mode0] + modes, bench.period)
 
     fields = {"state": expand(bench.exact_state)}
     if bench.kind == "ocp":
@@ -230,18 +236,12 @@ def _interpolant_fields(bench):
     return fields
 
 
-def _run_case(config, problem, preset, alpha, verbose):
-    try:
-        bench = build_benchmark(
-            problem,
-            config.mesh_n,
-            config.truncation,
-            alpha=alpha,
-            T=config.period,
-            preset=preset,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _run_case(config, bench, workspace, tail, verbose):
+    """Solve one case of a run and bound its error, mode by mode and in total.
+
+    ``workspace`` and ``tail`` (the data's Parseval remainder) do not
+    depend on alpha; the run builds them once for all its cases.
+    """
     if config.exact_substitution:
         fields, stats = _interpolant_fields(bench), []
     else:
@@ -263,16 +263,16 @@ def _run_case(config, problem, preset, alpha, verbose):
     if bench.kind == "ocp":
         adjoint = full_field(bench.dofmap, fields["adjoint"])
     constants = stability_constants(
-        problem,
+        bench.kind,
         "seminorm",
         bench.coefficients,
-        alpha=alpha,
+        alpha=bench.alpha,
         friedrichs=config.friedrichs,
     )
-    workspace = FluxWorkspace.from_mesh(bench.mesh, bench.coefficients)
     loads = mode_evaluators(bench)
+    label = "" if bench.alpha is None else f" alpha={bench.alpha:g}"
 
-    def err_sq(piece, what):
+    def bound(what, piece, **part):
         value = piece(errors["state"])
         if adjoint is not None:
             value += piece(errors["adjoint"])
@@ -280,62 +280,76 @@ def _run_case(config, problem, preset, alpha, verbose):
         # exact and discrete mode amplitudes both vanish
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigError(
-                f"the exact error of {what} is {value!r} at period "
+                f"the {what} exact error is {value!r} at period "
                 f"{config.period!r}, so its efficiency index is undefined"
             )
-        return value
-
-    start = time.perf_counter()
-    reports = []
-    for k in range(config.truncation + 1):
         report = minimize_majorant(
             bench.mesh,
             bench.coefficients,
             bench.period,
-            problem,
+            bench.kind,
             state,
             loads,
             constants,
             adjoint=adjoint,
-            alpha=alpha,
-            mode=k,
-            error_sq=err_sq(lambda e, k=k: e.semi_modes[k], f"mode {k}"),
+            alpha=bench.alpha,
+            error_sq=value,
             tol=config.majorant_tol,
             maxit=config.majorant_maxit,
             workspace=workspace,
+            **part,
         )
-        reports.append(report)
         if verbose:
-            label = "" if alpha is None else f" alpha={alpha:g}"
             print(
-                f"  mode {k}{label}: majorant_sq={report.majorant_sq:.6e} "
+                f"  {what}{label}: majorant_sq={report.majorant_sq:.6e} "
                 f"i_eff={report.efficiency:.3f} ({len(report.trace)} iterations)"
             )
-    tail = remainder(bench.data_profile, PROFILE_NORM_SQ, bench.period)
-    total = minimize_majorant(
-        bench.mesh,
-        bench.coefficients,
-        bench.period,
-        problem,
-        state,
-        loads,
-        constants,
-        adjoint=adjoint,
-        alpha=alpha,
-        tail=tail,
-        error_sq=err_sq(lambda e: e.semi_total, "the total"),
-        tol=config.majorant_tol,
-        maxit=config.majorant_maxit,
-        workspace=workspace,
-    )
+        return report
+
+    start = time.perf_counter()
+    reports = [
+        bound(f"mode {k}", lambda e, k=k: e.semi_modes[k], mode=k)
+        for k in range(config.truncation + 1)
+    ]
+    total = bound("total", lambda e: e.semi_total, tail=tail)
     estimate_time = time.perf_counter() - start
-    if verbose:
-        label = "" if alpha is None else f" alpha={alpha:g}"
-        print(
-            f"  total{label}: majorant_sq={total.majorant_sq:.6e} "
-            f"i_eff={total.efficiency:.3f}"
+    return CaseResult(
+        bench.alpha, constants, stats, errors, reports, total, estimate_time
+    )
+
+
+def _sweep(problem, config, threads=None, verbose=False):
+    """Build a run's alpha-independent data once and solve every case.
+
+    A forward run is one case; an ocp run has one case per alpha, each
+    on ``dataclasses.replace(bench, alpha=a)`` of the same benchmark.
+    """
+    preset = config.resolve_preset(problem)
+    config.check_unit_coefficients()
+    alphas = config.alphas if problem == "ocp" else (None,)
+    try:
+        bench = build_benchmark(
+            problem,
+            config.mesh_n,
+            config.truncation,
+            alpha=alphas[0],
+            T=config.period,
+            preset=preset,
         )
-    return bench, CaseResult(alpha, stats, errors, reports, total, estimate_time)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    workspace = FluxWorkspace.from_mesh(bench.mesh, bench.coefficients)
+    tail = remainder(bench.data_profile, PROFILE_NORM_SQ, bench.period)
+
+    def case(alpha):
+        return _run_case(
+            config, dataclasses.replace(bench, alpha=alpha), workspace, tail, verbose
+        )
+
+    if threads and threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return bench, list(pool.map(case, alphas))
+    return bench, [case(alpha) for alpha in alphas]
 
 
 def _write_forward_tables(out_dir, case):
@@ -423,7 +437,7 @@ def _case_entry(case):
     return entry
 
 
-def _write_report(out_dir, config, problem, constants_by_case, cases):
+def _write_report(out_dir, config, problem, cases):
     report = {
         "problem": problem,
         "config": dataclasses.asdict(config),
@@ -433,7 +447,7 @@ def _write_report(out_dir, config, problem, constants_by_case, cases):
                 "upper": float(c.upper),
                 "friedrichs": float(c.friedrichs),
             }
-            for c in constants_by_case
+            for c in (case.constants for case in cases)
         ],
         "cases": [_case_entry(case) for case in cases],
         "bound_satisfied": all(case.bound_ok() for case in cases),
@@ -457,57 +471,18 @@ def _write_mesh_summary(out_dir, bench):
     (out_dir / "mesh.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def run_forward(config, out_dir, verbose=False):
-    """Forward benchmark: solve, bound, and tabulate one run."""
-    preset = config.resolve_preset("forward")
-    config.check_unit_coefficients()
-    bench, case = _run_case(config, "forward", preset, None, verbose)
+def run(problem, config, out_dir, threads=None, verbose=False):
+    """Solve, bound and tabulate a forward run or an ocp alpha sweep."""
+    bench, cases = _sweep(problem, config, threads, verbose)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_forward_tables(out_dir, case)
-    constants = stability_constants(
-        "forward", "seminorm", bench.coefficients, friedrichs=config.friedrichs
-    )
-    _write_report(out_dir, config, "forward", [constants], [case])
+    if problem == "forward":
+        _write_forward_tables(out_dir, cases[0])
+    else:
+        _write_ocp_tables(out_dir, cases)
+    _write_report(out_dir, config, problem, cases)
     if config.write_mesh:
         _write_mesh_summary(out_dir, bench)
-    print(f"forward run complete; tables written to {out_dir}")
-    if not case.bound_ok():
-        print("guaranteed bound violated; see report.json", file=sys.stderr)
-        return EXIT_BOUND
-    return EXIT_OK
-
-
-def run_ocp(config, out_dir, threads=None, verbose=False):
-    """Control benchmark: sweep the alpha list, bound, and tabulate."""
-    preset = config.resolve_preset("ocp")
-    config.check_unit_coefficients()
-
-    def job(alpha):
-        return _run_case(config, "ocp", preset, alpha, verbose)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(job, config.alphas))
-    else:
-        solved = [job(alpha) for alpha in config.alphas]
-    benches = [bench for bench, _ in solved]
-    cases = [case for _, case in solved]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_ocp_tables(out_dir, cases)
-    constants = [
-        stability_constants(
-            "ocp",
-            "seminorm",
-            bench.coefficients,
-            alpha=case.alpha,
-            friedrichs=config.friedrichs,
-        )
-        for bench, case in zip(benches, cases)
-    ]
-    _write_report(out_dir, config, "ocp", constants, cases)
-    if config.write_mesh:
-        _write_mesh_summary(out_dir, benches[0])
-    print(f"ocp run complete; tables written to {out_dir}")
+    print(f"{problem} run complete; tables written to {out_dir}")
     if not all(case.bound_ok() for case in cases):
         print("guaranteed bound violated; see report.json", file=sys.stderr)
         return EXIT_BOUND
@@ -657,7 +632,7 @@ def _check_guaranteed_bound(config):
         minres_tol=config.minres_tol,
         minres_maxit=config.minres_maxit,
     )
-    _, case = _run_case(quick, "forward", "exp", None, False)
+    _, (case,) = _sweep("forward", quick)
     lowest = min(r.efficiency for r in case.reports + [case.total])
     return (
         "guaranteed bound",
@@ -666,7 +641,7 @@ def _check_guaranteed_bound(config):
     )
 
 
-def run_verify(config, verbose=False):
+def run_verify(config):
     """Self-check suite; returns 0 only if every check passes."""
     checks = [
         _check_quadrature(),
@@ -694,43 +669,43 @@ def _build_parser():
         "a posteriori error bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, doc in (
         ("forward", "solve the forward benchmark and bound its error"),
         ("ocp", "solve the control benchmark over the alpha list"),
         ("verify", "run the self-check suite"),
     ):
-        cmd = sub.add_parser(name, help=doc)
-        cmd.add_argument("--config", metavar="PATH", help="JSON config file")
-        cmd.add_argument(
+        commands[name] = sub.add_parser(name, help=doc)
+        commands[name].add_argument("--config", metavar="PATH", help="JSON config file")
+    for name in ("forward", "ocp"):
+        commands[name].add_argument(
             "--out",
             metavar="DIR",
             help="output directory (overrides the config's output field)",
         )
-        cmd.add_argument(
-            "--threads",
-            type=int,
-            metavar="N",
-            help="worker threads for the ocp alpha sweep",
+        commands[name].add_argument(
+            "--verbose", action="store_true", help="per-mode progress"
         )
-        cmd.add_argument("--verbose", action="store_true", help="per-mode progress")
+    commands["ocp"].add_argument(
+        "--threads", type=int, metavar="N", help="worker threads for the alpha sweep"
+    )
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    threads = getattr(args, "threads", None)
     try:
-        if args.threads is not None and args.threads < 1:
+        if threads is not None and threads < 1:
             raise ConfigError("--threads must be at least 1")
         if args.config is not None:
             config = RunConfig.from_file(args.config)
         else:
             config = RunConfig()
         if args.command == "verify":
-            return run_verify(config, verbose=args.verbose)
+            return run_verify(config)
         out_dir = Path(args.out or config.output or "eddymh-out")
-        if args.command == "forward":
-            return run_forward(config, out_dir, verbose=args.verbose)
-        return run_ocp(config, out_dir, threads=args.threads, verbose=args.verbose)
+        return run(args.command, config, out_dir, threads, args.verbose)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,7 +7,7 @@ orientation follows ascending vertex indices; the per-tet signs from the mesh
 make the assembled fields tangentially continuous.
 """
 
-import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,8 +112,18 @@ class BasisData:
     curl: np.ndarray  # (nt, 6, 3)
 
 
-@functools.lru_cache(maxsize=8)
+# one entry per live mesh, dropped with the mesh
+_BASIS = weakref.WeakKeyDictionary()
+
+
 def basis_data(mesh):
+    bd = _BASIS.get(mesh)
+    if bd is None:
+        bd = _BASIS[mesh] = _basis_data(mesh)
+    return bd
+
+
+def _basis_data(mesh):
     v = mesh.vertices[mesh.tets]  # (nt, 4, 3)
     J = v[:, 1:] - v[:, :1]  # rows are edge vectors
     vols = np.linalg.det(J) / 6.0

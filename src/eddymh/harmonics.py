@@ -66,14 +66,6 @@ class FourierField:
             np.zeros_like(self.mode0), [(-s, c) for c, s in self.modes]
         )
 
-    def __call__(self, t, period):
-        """Evaluate the coefficient vector of the series at time t."""
-        w = period.omega
-        out = self.mode0.copy()
-        for k, (c, s) in enumerate(self.modes, start=1):
-            out = out + c * math.cos(k * w * t) + s * math.sin(k * w * t)
-        return out
-
 
 def _time_rule(period, m=None):
     # composite Gauss-Legendre; panel count grows with requested samples

@@ -96,11 +96,6 @@ def forward_data_profile(t):
     return np.exp(t) * (np.cos(t) + (EIGENVALUE + 1.0) * np.sin(t))
 
 
-def forward_exact_modes(k):
-    """Exact state amplitudes of the forward benchmark: e^t sin t."""
-    return exp_sin_modes(k)
-
-
 def ocp_data_modes(k):
     """Modes of d = e^t (sin t + (2 pi^2+1)((2 pi^2+1) sin t - cos t))."""
     m = EIGENVALUE + 1.0
@@ -162,9 +157,21 @@ def _trig_profile(t, omega):
     return out
 
 
+# exponential data sets: (modes, time profile) per problem kind
+_EXP_DATA = {
+    "forward": (forward_data_modes, forward_data_profile),
+    "ocp": (ocp_data_modes, ocp_data_profile),
+}
+
+
 @dataclass(eq=False)
 class Benchmark:
-    """One assembled benchmark problem plus its analytic reference data."""
+    """One assembled benchmark problem plus its analytic reference data.
+
+    Only the optimality system depends on ``alpha``, so
+    ``dataclasses.replace(bench, alpha=a)`` is the problem for ``a`` on
+    the same mesh, matrices and loads.
+    """
 
     kind: str
     preset: str
@@ -176,8 +183,6 @@ class Benchmark:
     alpha: object
     data_modes: object
     data_profile: object
-    exact_state: object
-    exact_adjoint: object
     load_vector: np.ndarray
 
     def mode_load(self, k):
@@ -186,6 +191,16 @@ class Benchmark:
         if k == 0:
             return (float(c) * self.load_vector,)
         return float(c) * self.load_vector, float(s) * self.load_vector
+
+    def exact_state(self, k):
+        """Exact state amplitudes (A_c, A_s) of the profile; vectorized."""
+        if self.kind == "forward":
+            return scalar_forward_exact(k, self.data_modes, self.period.omega)
+        return scalar_ocp_exact(k, self.alpha, self.data_modes, self.period.omega)[:2]
+
+    def exact_adjoint(self, k):
+        """Exact adjoint amplitudes (P_c, P_s) of the control problem."""
+        return scalar_ocp_exact(k, self.alpha, self.data_modes, self.period.omega)[2:]
 
 
 def build_benchmark(kind, n, N, alpha=None, T=2.0 * math.pi, preset="exp"):
@@ -201,42 +216,15 @@ def build_benchmark(kind, n, N, alpha=None, T=2.0 * math.pi, preset="exp"):
         if alpha is None or not alpha > 0:
             raise ValueError("ocp benchmark needs alpha > 0")
     period = PeriodSpec(T, N)
-    omega = period.omega
     if preset == "exp":
         if abs(T - 2.0 * math.pi) > 1e-12:
             raise ValueError("the exponential data set is defined for T = 2 pi")
-        if kind == "forward":
-            data_modes, data_profile = forward_data_modes, forward_data_profile
-            exact_state = forward_exact_modes
-            exact_adjoint = None
-        else:
-            data_modes, data_profile = ocp_data_modes, ocp_data_profile
-
-            def exact_state(k):
-                return scalar_ocp_exact(k, alpha, ocp_data_modes, omega)[:2]
-
-            def exact_adjoint(k):
-                return scalar_ocp_exact(k, alpha, ocp_data_modes, omega)[2:]
-
+        data_modes, data_profile = _EXP_DATA[kind]
     elif preset == "trig":
         data_modes = _trig_modes
 
         def data_profile(t):
-            return _trig_profile(t, omega)
-
-        if kind == "forward":
-
-            def exact_state(k):
-                return scalar_forward_exact(k, _trig_modes, omega)
-
-            exact_adjoint = None
-        else:
-
-            def exact_state(k):
-                return scalar_ocp_exact(k, alpha, _trig_modes, omega)[:2]
-
-            def exact_adjoint(k):
-                return scalar_ocp_exact(k, alpha, _trig_modes, omega)[2:]
+            return _trig_profile(t, period.omega)
 
     else:
         raise ValueError(f"unknown preset {preset!r}")
@@ -257,8 +245,6 @@ def build_benchmark(kind, n, N, alpha=None, T=2.0 * math.pi, preset="exp"):
         alpha=alpha,
         data_modes=data_modes,
         data_profile=data_profile,
-        exact_state=exact_state,
-        exact_adjoint=exact_adjoint,
         load_vector=load_vector,
     )
 

@@ -21,7 +21,7 @@ held dense.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -73,7 +73,6 @@ class SolveStats:
     relative_residual: float
     wall_time: float
     converged: bool
-    trace: list = field(default_factory=list)
 
 
 @dataclass(eq=False)
@@ -116,7 +115,7 @@ class ModeSystem:
         return dict(zip(self.names, x.reshape(self.blocks, self.n)))
 
 
-def minres(apply_A, apply_Pinv, b, tol=1e-10, maxit=2000, trace=False):
+def minres(apply_A, apply_Pinv, b, tol=1e-10, maxit=2000):
     """Preconditioned MINRES for symmetric A and SPD preconditioner P.
 
     Stops when the P^{-1}-weighted residual norm has dropped by ``tol``
@@ -128,7 +127,6 @@ def minres(apply_A, apply_Pinv, b, tol=1e-10, maxit=2000, trace=False):
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     x = np.zeros(n)
-    history = []
 
     r2 = b.copy()
     y = apply_Pinv(r2)
@@ -137,7 +135,7 @@ def minres(apply_A, apply_Pinv, b, tol=1e-10, maxit=2000, trace=False):
         raise ValueError("preconditioner is not positive definite")
     beta1 = np.sqrt(beta1sq)
     if beta1 == 0.0:
-        return x, SolveStats(0, 0.0, time.perf_counter() - t0, True, history)
+        return x, SolveStats(0, 0.0, time.perf_counter() - t0, True)
 
     oldb = 0.0
     beta = beta1
@@ -190,8 +188,6 @@ def minres(apply_A, apply_Pinv, b, tol=1e-10, maxit=2000, trace=False):
         x = x + phi * w
 
         rel = phibar / beta1
-        if trace:
-            history.append((itn, rel))
         if rel <= tol:
             converged = True
             break
@@ -199,7 +195,7 @@ def minres(apply_A, apply_Pinv, b, tol=1e-10, maxit=2000, trace=False):
             break
 
     rel = phibar / beta1
-    return x, SolveStats(itn, float(rel), time.perf_counter() - t0, converged, history)
+    return x, SolveStats(itn, float(rel), time.perf_counter() - t0, converged)
 
 
 def _block_operator(blocks, n):
@@ -332,11 +328,9 @@ def build_ocp0(matrices, alpha, yd0):
     return ModeSystem(0, "ocp0", A, lu, np.array([1.0, alpha]), ("y_c", "p_c"), rhs)
 
 
-def solve_mode(system, tol=1e-10, maxit=2000, trace=False):
+def solve_mode(system, tol=1e-10, maxit=2000):
     """Run MINRES on a mode system and unpack the block solution."""
-    x, stats = minres(
-        system.apply_A, system.apply_Pinv, system.rhs, tol=tol, maxit=maxit, trace=trace
-    )
+    x, stats = minres(system.apply_A, system.apply_Pinv, system.rhs, tol=tol, maxit=maxit)
     parts = system.unpack(x)
     if system.postprocess is not None:
         parts = {key: system.postprocess(v) for key, v in parts.items()}

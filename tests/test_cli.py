@@ -9,16 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eddymh.cli
 from eddymh.cli import (
     EXIT_BOUND,
     EXIT_CHECK,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SOLVER,
+    MAX_MESH_N,
     ConfigError,
     RunConfig,
     main,
 )
+from eddymh.estimator import FluxWorkspace
 
 
 def _write_config(tmp_path, name="config.json", **fields):
@@ -153,6 +156,51 @@ def test_vanishing_exact_error_is_a_config_error(tmp_path, capsys, command):
     assert main([command, "--config", config, "--out", str(out)]) == EXIT_CONFIG
     assert "configuration error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_oversized_mesh_is_a_config_error(tmp_path):
+    # validated before anything is meshed
+    assert RunConfig.from_dict({"mesh_n": MAX_MESH_N}).mesh_n == MAX_MESH_N
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"mesh_n": MAX_MESH_N + 1})
+    config = _write_config(tmp_path, mesh_n=100000, truncation=1)
+    out = tmp_path / "out"
+    assert main(["forward", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["forward", "--threads", "2"], ["verify", "--verbose"], ["verify", "--out", "x"]],
+)
+def test_flags_only_where_they_act(argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == EXIT_CONFIG
+
+
+def test_ocp_sweep_shares_its_setup(tmp_path, monkeypatch):
+    calls = {"build_benchmark": 0, "from_mesh": 0, "remainder": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("build_benchmark", "remainder"):
+        monkeypatch.setattr(eddymh.cli, name, counted(name, getattr(eddymh.cli, name)))
+    from_mesh = FluxWorkspace.from_mesh.__func__
+    monkeypatch.setattr(
+        FluxWorkspace, "from_mesh", classmethod(counted("from_mesh", from_mesh))
+    )
+    config = _write_config(tmp_path, mesh_n=1, truncation=1, alphas=[0.5, 1.0, 2.0])
+    out = tmp_path / "out"
+    assert main(["ocp", "--config", config, "--out", str(out)]) == EXIT_OK
+    assert calls == {"build_benchmark": 1, "from_mesh": 1, "remainder": 1}
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert [case["alpha"] for case in report["cases"]] == [0.5, 1.0, 2.0]
 
 
 def test_solver_failure_exit_code(tmp_path):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy import linalg
@@ -238,6 +241,17 @@ def test_cross_pairing_oracle():
     dots = np.einsum("tqi,tqi->tq", vals_u, np.broadcast_to(cu, vals_u.shape))
     expect = float((6.0 * bd.vols * (dots @ TET_P5_WEIGHTS)).sum())
     assert u @ (C @ v) == pytest.approx(expect, rel=1e-12)
+
+
+def test_basis_data_dies_with_its_mesh():
+    from eddymh.edge_fem import basis_data
+
+    mesh = build_box_mesh(2)
+    assert basis_data(mesh) is basis_data(mesh)
+    alive = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert alive() is None
 
 
 def test_dofmap_roundtrip():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -217,3 +218,22 @@ def test_concurrent_solve_raises_a_mode_failure():
     bench.load_vector = np.asarray(G @ np.ones(G.shape[1])).ravel()
     with pytest.raises(ValueError, match="inconsistent"):
         solve_benchmark(bench)
+
+
+@pytest.mark.parametrize("preset", ["exp", "trig"])
+def test_replaced_alpha_matches_a_fresh_build(preset):
+    # an ocp run builds one benchmark and sweeps alpha by replacing it
+    bench = dataclasses.replace(
+        build_benchmark("ocp", 2, 1, alpha=0.5, preset=preset), alpha=2.0
+    )
+    fresh = build_benchmark("ocp", 2, 1, alpha=2.0, preset=preset)
+    ks = np.arange(6)
+    for name in ("exact_state", "exact_adjoint"):
+        for got, want in zip(getattr(bench, name)(ks), getattr(fresh, name)(ks)):
+            np.testing.assert_array_equal(got, want)
+    errors = benchmark_errors(bench, solve_benchmark(bench)[0])
+    expected = benchmark_errors(fresh, solve_benchmark(fresh)[0])
+    for field in ("state", "adjoint"):
+        assert errors[field].semi_modes == expected[field].semi_modes
+        assert errors[field].semi_total == expected[field].semi_total
+        assert errors[field].norm_total == expected[field].norm_total
