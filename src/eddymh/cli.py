@@ -302,7 +302,8 @@ def _run_case(config, bench, workspace, tail, verbose):
         if verbose:
             print(
                 f"  {what}{label}: majorant_sq={report.majorant_sq:.6e} "
-                f"i_eff={report.efficiency:.3f} ({len(report.trace)} iterations)"
+                f"i_eff={report.efficiency:.3f} ({len(report.trace)} iterations, "
+                f"{report.pcg_steps} pcg steps, {report.direct_solves} direct solves)"
             )
         return report
 
@@ -410,6 +411,8 @@ def _report_entry(report):
         "i_eff": float(report.efficiency),
         "iterations": len(report.trace),
         "converged": bool(report.converged),
+        "pcg_steps": report.pcg_steps,
+        "direct_solves": report.direct_solves,
         "tail": float(report.tail),
         "residual_sums": {k: float(v) for k, v in report.residual_sums.items()},
     }

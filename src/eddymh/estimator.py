@@ -5,12 +5,18 @@ control problem, the adjoint), weighted sums of computable residual
 norms bound the error in the half-derivative energy (semi)norm from
 above.  The bound holds for arbitrary flux fields in the unconstrained
 edge space and arbitrary positive Young parameters; it is tightened by
-alternating exact minimization in the fluxes (SPD solves, decoupled
-per mode and per component) and in the parameters (closed forms), so
-the recorded value never increases between iterations.
+alternating minimization in the fluxes (SPD solves, decoupled per mode
+and per component) and in the parameters (closed forms), so the recorded
+value does not increase between iterations beyond rounding.
+
+As any flux gives a valid bound, an inexact flux solve can only make it
+less sharp, never wrong: every flux matrix ``a K + b M`` is solved by
+conjugate gradients preconditioned with one shared factor of
+``cf^2 K + M``, the matrix at unit Young parameters.
 """
 
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -32,6 +38,13 @@ from eddymh.systems import SPD_SPLU
 
 BETA_MIN = 1e-8
 BETA_MAX = 1e8
+
+# PCG off the shared factor serves flux matrices whose ratio a / b lies
+# within a factor FLUX_BAND of the factor's (the preconditioned spectrum
+# then lies in [1 / FLUX_BAND, FLUX_BAND]); each column stops at PCG_RTOL.
+FLUX_BAND = 8.0
+PCG_MAXIT = 100
+PCG_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -290,6 +303,38 @@ def efficiency_index(majorant_sq, error_sq):
     return majorant_sq / error_sq
 
 
+def _pcg(matrix, precondition, rhs):
+    # Multi-column preconditioned CG started from precondition(rhs); every
+    # column stops at relative residual PCG_RTOL and then drops out, so a
+    # zero column never divides.  Returns (solution, steps), or
+    # (None, steps) when PCG_MAXIT steps did not suffice.
+    goal = PCG_RTOL * np.linalg.norm(rhs, axis=0)
+    x = precondition(rhs)
+    r = rhs - matrix @ x
+    todo = np.flatnonzero(np.linalg.norm(r, axis=0) > goal)
+    r = r[:, todo]
+    z = precondition(r)
+    p = z
+    rz = np.einsum("ij,ij->j", r, z)
+    steps = 0
+    while todo.size:
+        if steps == PCG_MAXIT:
+            return None, steps
+        steps += 1
+        q = matrix @ p
+        step = rz / np.einsum("ij,ij->j", p, q)
+        x[:, todo] += step * p
+        r -= step * q
+        keep = np.linalg.norm(r, axis=0) > goal[todo]
+        todo, r, p, rz = todo[keep], r[:, keep], p[:, keep], rz[keep]
+        if todo.size:
+            z = precondition(r)
+            rz_next = np.einsum("ij,ij->j", r, z)
+            p = z + (rz_next / rz) * p
+            rz = rz_next
+    return x, steps
+
+
 @dataclass(eq=False)
 class FluxWorkspace:
     """Unconstrained-edge-space operators shared by all flux solves.
@@ -297,8 +342,9 @@ class FluxWorkspace:
     The flux fields carry no boundary condition, so every matrix lives
     on the full edge set: unit-weight curl-curl and mass, plus the
     pairings C_w[i, j] = int w phi_i . curl phi_j for w = sigma, nu, 1.
-    No factor is kept: each ``solve`` factors its SPD matrix once, for
-    all the right-hand sides it is given, and drops the factor.
+    The workspace keeps one factor, of ``anchor K + M``, built by the
+    first solve that needs it (under a lock, so concurrent minimizations
+    share it) and replaced only by a solve with another anchor.
     """
 
     mesh: object
@@ -308,6 +354,8 @@ class FluxWorkspace:
     pair_sigma_t: object
     pair_nu: object
     pair_one_t: object
+    _factor: tuple = field(default=None, init=False, repr=False)
+    _lock: object = field(default_factory=threading.Lock, init=False, repr=False)
 
     @classmethod
     def from_mesh(cls, mesh, coefficients):
@@ -327,33 +375,42 @@ class FluxWorkspace:
             pair_one_t=pair_one.T.tocsr(),
         )
 
-    def solve(self, curl_weight, mass_weight, rhs_list):
+    def solve(self, curl_weight, mass_weight, rhs_list, anchor, counts):
         """Solutions of (curl_weight K + mass_weight M) x = r, one per r.
 
-        The matrix is SPD, so it is factored with a symmetric fill-reducing
-        ordering and no pivoting; one factorization serves every
-        right-hand side through a single multi-column solve.
+        One multi-column PCG serves all of them: Jacobi for the mass
+        matrix, the ``anchor K + M`` factor for a ratio within FLUX_BAND
+        of ``anchor``.  Any other matrix, or a PCG past PCG_MAXIT steps,
+        is factored once and the factor dropped.  ``counts`` accumulates
+        "pcg_steps" and "direct_solves".
         """
-        lu = splu(
-            (curl_weight * self.stiffness + mass_weight * self.mass).tocsc(),
-            **SPD_SPLU,
-        )
-        return list(lu.solve(np.array(rhs_list).T).T)
+        rhs = np.array(rhs_list).T
+        matrix = curl_weight * self.stiffness + mass_weight * self.mass
+        x, steps = None, 0
+        if curl_weight == 0.0:
+            diagonal = mass_weight * self.mass.diagonal()[:, None]
+            x, steps = _pcg(matrix, lambda r: r / diagonal, rhs)
+        elif anchor / FLUX_BAND <= curl_weight / mass_weight <= anchor * FLUX_BAND:
+            with self._lock:
+                if self._factor is None or self._factor[0] != anchor:
+                    factored = (anchor * self.stiffness + self.mass).tocsc()
+                    self._factor = (anchor, splu(factored, **SPD_SPLU))
+                lu = self._factor[1]
+            x, steps = _pcg(matrix, lambda r: lu.solve(r) / mass_weight, rhs)
+        counts["pcg_steps"] += steps
+        if x is None:
+            counts["direct_solves"] += 1
+            x = splu(matrix.tocsc(), **SPD_SPLU).solve(rhs)
+        return list(x.T)
 
 
-def _solve_blocks(ws, curl_weight, mass_weight, blocks):
-    # One factorization for every block of right-hand sides; each block
-    # (one field of one mode) comes back as a (cos, sin) pair, a 1-tuple
-    # for the mean mode, whose sine member the residuals ignore.
-    solutions = iter(ws.solve(curl_weight, mass_weight, [r for b in blocks for r in b]))
+def _solve_blocks(ws, curl_weight, mass_weight, blocks, cf, counts):
+    # One solve for every block of right-hand sides; each block (one
+    # field of one mode) comes back as a (cos, sin) pair, a 1-tuple for
+    # the mean mode, whose sine member the residuals ignore.
+    rhs = [r for b in blocks for r in b]
+    solutions = iter(ws.solve(curl_weight, mass_weight, rhs, cf * cf, counts))
     return [tuple(next(solutions) for _ in b) for b in blocks]
-
-
-def _projected_rhs(ws, k, pair):
-    # constitutive starting guess: L2 projection of nu curl (field)
-    if k == 0:
-        return [ws.pair_nu @ pair[0]]
-    return [ws.pair_nu @ pair[0], ws.pair_nu @ pair[1]]
 
 
 def _curl_loads(ws, k, load):
@@ -407,35 +464,39 @@ def _ocp_rhs(ws, period, k, eta, zeta, curl_desired, alpha, weights):
     return tau_rhs, rho_rhs
 
 
-def _forward_fluxes(ws, period, modes, curl_loads, beta, cf, first):
-    # tau pairs of all modes from one factorization
-    if first:
-        blocks = [_projected_rhs(ws, k, eta) for k, eta, _, _ in modes]
-        return _solve_blocks(ws, 0.0, 1.0, blocks)
+def _projected_fluxes(ws, modes, cf, counts):
+    # the constitutive guess of iteration 1, the L2 projection of nu curl
+    # (field), as (tau pairs, rho pairs) of all modes from one mass solve;
+    # the rho pairs are None without an adjoint
+    fields = [(k, eta) for k, eta, _, _ in modes]
+    fields += [(k, zeta) for k, _, zeta, _ in modes if zeta is not None]
+    blocks = [
+        [ws.pair_nu @ c for c in pair[: 1 if k == 0 else 2]] for k, pair in fields
+    ]
+    both = _solve_blocks(ws, 0.0, 1.0, blocks, cf, counts)
+    return both[: len(modes)], both[len(modes) :] or [None] * len(modes)
+
+
+def _forward_fluxes(ws, period, modes, curl_loads, beta, cf, counts):
+    # tau pairs of all modes from one multi-column solve
     w = _forward_weights(beta, cf)
     blocks = [
         _forward_rhs(ws, period, k, eta, g, w)
         for (k, eta, _, _), g in zip(modes, curl_loads)
     ]
-    return _solve_blocks(ws, *w, blocks)
+    return _solve_blocks(ws, *w, blocks, cf, counts)
 
 
-def _ocp_fluxes(ws, period, modes, curl_loads, alpha, betas, cf, first):
-    # (tau pairs, rho pairs) of all modes from one factorization per field,
-    # or one for both fields on the first (projection) step
-    if first:
-        blocks = [_projected_rhs(ws, k, eta) for k, eta, _, _ in modes]
-        blocks += [_projected_rhs(ws, k, zeta) for k, _, zeta, _ in modes]
-        both = _solve_blocks(ws, 0.0, 1.0, blocks)
-        return both[: len(modes)], both[len(modes) :]
+def _ocp_fluxes(ws, period, modes, curl_loads, alpha, betas, cf, counts):
+    # (tau pairs, rho pairs) of all modes from one solve per field
     w = _ocp_weights(betas, cf)
     blocks = [
         _ocp_rhs(ws, period, k, eta, zeta, g, alpha, w)
         for (k, eta, zeta, _), g in zip(modes, curl_loads)
     ]
     w_r1, w_r2, w_r3, w_r4 = w
-    taus = _solve_blocks(ws, w_r3, w_r2, [t for t, _ in blocks])
-    rhos = _solve_blocks(ws, w_r1, w_r4, [r for _, r in blocks])
+    taus = _solve_blocks(ws, w_r3, w_r2, [t for t, _ in blocks], cf, counts)
+    rhos = _solve_blocks(ws, w_r1, w_r4, [r for _, r in blocks], cf, counts)
     return taus, rhos
 
 
@@ -463,6 +524,8 @@ class MajorantReport:
     error_sq: float
     efficiency: float
     converged: bool
+    pcg_steps: int
+    direct_solves: int
     trace: list = field(default_factory=list)
 
 
@@ -507,14 +570,16 @@ def minimize_majorant(
     parameters in force during the flux solve and the bound they yield.
     Iteration 1 evaluates the constitutive flux guess (the projection
     of nu curl applied to the fields) at unit parameters; from
-    iteration 2 on, each step solves the flux subproblems exactly for
-    the current parameters, so the recorded bound never increases.
-    Every mode in an iteration shares the flux matrix of each field, so
-    an iteration factors one SPD matrix per field (the mass matrix of
-    iteration 1 once for all fields): the right-hand sides of all modes
-    are built first, solved together, and the residuals evaluated last.
-    The data's curl loads do not change between iterations and are
-    assembled once per call.
+    iteration 2 on, each step solves the flux subproblems for the
+    current parameters to relative residual PCG_RTOL, so the recorded
+    bound does not increase beyond rounding.  Every mode in an iteration
+    shares the flux matrix of each field, so an iteration runs one
+    multi-column solve per field (the mass matrix of iteration 1 once
+    for all fields): the right-hand sides of all modes are built first,
+    solved together, and the residuals evaluated last.  The report
+    counts the PCG steps and the one-shot factorizations those solves
+    took.  The data's curl loads do not change between iterations and
+    are assembled once per call.
     """
     if kind not in ("forward", "ocp"):
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -535,20 +600,21 @@ def minimize_majorant(
     ]
     curl_loads = [_curl_loads(ws, k, f) for k, _, _, f in modes]
     betas = (1.0,) if kind == "forward" else (1.0, 1.0, 1.0)
+    counts = {"pcg_steps": 0, "direct_solves": 0}
     trace = []
     converged = False
     previous = None
     sums = {}
     for iteration in range(1, maxit + 1):
         start = time.perf_counter()
-        if kind == "forward":
-            taus = _forward_fluxes(
-                ws, period, modes, curl_loads, betas[0], cf, iteration == 1
-            )
+        if iteration == 1:
+            taus, rhos = _projected_fluxes(ws, modes, cf, counts)
+        elif kind == "forward":
+            taus = _forward_fluxes(ws, period, modes, curl_loads, betas[0], cf, counts)
             rhos = [None] * len(modes)
         else:
             taus, rhos = _ocp_fluxes(
-                ws, period, modes, curl_loads, alpha, betas, cf, iteration == 1
+                ws, period, modes, curl_loads, alpha, betas, cf, counts
             )
         sums = {key: 0.0 for key in ("r1", "r2", "r3", "r4")}
         for (k, eta, zeta, f), tau, rho in zip(modes, taus, rhos):
@@ -578,19 +644,14 @@ def minimize_majorant(
             converged = True
             break
         previous = value
+        groups = (sums["r1"] + tail, sums["r2"], sums["r3"], sums["r4"])
+        if max(groups) == 0.0:
+            converged = True
+            break
         if kind == "forward":
-            total_r1 = sums["r1"] + tail
-            if total_r1 == 0.0 and sums["r2"] == 0.0:
-                converged = True
-                break
-            betas = (beta_optimal(cf * cf * total_r1, sums["r2"]),)
+            betas = (beta_optimal(cf * cf * groups[0], groups[1]),)
         else:
-            if max(sums["r1"] + tail, sums["r2"], sums["r3"], sums["r4"]) == 0.0:
-                converged = True
-                break
-            betas = beta_optimal_ocp(
-                sums["r1"] + tail, sums["r2"], sums["r3"], sums["r4"], cf
-            )
+            betas = beta_optimal_ocp(*groups, cf)
     final = trace[-1]
     return MajorantReport(
         kind=kind,
@@ -603,4 +664,5 @@ def minimize_majorant(
         efficiency=final.efficiency,
         converged=converged,
         trace=trace,
+        **counts,
     )

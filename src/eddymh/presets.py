@@ -25,6 +25,9 @@ EIGENVALUE = 2.0 * math.pi**2
 PROFILE_NORM_SQ = 0.25
 PROFILE_CURL_SQ = math.pi**2 / 2.0
 
+# modes per slice of the exact-error series tail
+TAIL_CHUNK = 8192
+
 # finite-mode amplitudes of the trigonometric data set
 TRIG_AMPLITUDES = {0: (0.6, 0.0), 1: (1.0, -0.5), 2: (0.25, 0.75)}
 
@@ -111,14 +114,23 @@ def ocp_data_profile(t):
     return np.exp(t) * (np.sin(t) + m * (m * np.sin(t) - np.cos(t)))
 
 
+def _scaled_operator(k, omega):
+    # L = [[mu, kw], [-kw, mu]] as s [[m, w], [-w, m]], s = max(mu, |kw|), so
+    # q = m^2 + w^2 lies in [1, 2]; kw^2 itself overflows for |kw| > 1e154.
+    mu = EIGENVALUE
+    kw = np.asarray(k, dtype=float) * omega
+    s = np.maximum(mu, np.abs(kw))
+    m, w = mu / s, kw / s
+    return s, m, w, m * m + w * w
+
+
 def scalar_forward_exact(k, data_modes, omega=1.0):
     """Amplitudes A solving the modal equations mu A_c + kw A_s = g_c,
     -kw A_c + mu A_s = g_s for the eigenprofile; vectorized over k."""
     gc, gs = data_modes(k)
-    mu = EIGENVALUE
-    kw = np.asarray(k, dtype=float) * omega
-    det = mu * mu + kw * kw
-    return (mu * gc - kw * gs) / det, (kw * gc + mu * gs) / det
+    s, m, w, q = _scaled_operator(k, omega)
+    det = s * q
+    return (m * gc - w * gs) / det, (w * gc + m * gs) / det
 
 
 def scalar_ocp_exact(k, alpha, data_modes, omega=1.0):
@@ -127,15 +139,17 @@ def scalar_ocp_exact(k, alpha, data_modes, omega=1.0):
 
     The modal operator L = [[mu, kw], [-kw, mu]] satisfies L^T L =
     (mu^2 + (kw)^2) I, which collapses the 4x4 solve to
-    A = d / (1 + alpha (mu^2 + (kw)^2)) and P = -alpha L A.
+    A = d / (1 + alpha (mu^2 + (kw)^2)) and P = -alpha L A, evaluated with
+    L = s L' (``_scaled_operator``) as A = (d / s) / (1 / s + alpha s q) and
+    P = -L' d / (1 / (alpha s) + s q): nothing overflows at tiny periods.
     """
     dc, ds = data_modes(k)
-    mu = EIGENVALUE
-    kw = np.asarray(k, dtype=float) * omega
-    denom = 1.0 + alpha * (mu * mu + kw * kw)
-    ac, as_ = dc / denom, ds / denom
-    pc = -alpha * (mu * ac + kw * as_)
-    ps = -alpha * (-kw * ac + mu * as_)
+    s, m, w, q = _scaled_operator(k, omega)
+    denom = 1.0 / s + alpha * s * q
+    ac, as_ = dc / s / denom, ds / s / denom
+    denom = 1.0 / (alpha * s) + s * q
+    pc = -(m * dc + w * ds) / denom
+    ps = -(-w * dc + m * ds) / denom
     return ac, as_, pc, ps
 
 
@@ -348,44 +362,43 @@ def error_breakdown(bench, field, exact, kmax=200000):
     ``exact`` maps mode indices (vectorized) to amplitude pairs of the
     spatial profile.  Modes up to the truncation are integrated with the
     degree-5 rule; the remaining series is summed directly to ``kmax``,
-    far past where the amplitudes' quadratic decay makes terms vanish.
+    far past where the amplitudes' quadratic decay makes terms vanish,
+    TAIL_CHUNK modes at a time so that no array spans the whole tail.
     """
     mesh, dofmap, period = bench.mesh, bench.dofmap, bench.period
     T, omega = period.T, period.omega
     semi_modes = []
     norm_modes = []
     for k in range(period.N + 1):
-        if k == 0:
-            a0 = float(exact(0)[0])
-            coef = dofmap.extend(field.mode0)
-            l2, curl = difference_norms(
-                mesh, coef, lambda p: a0 * profile(p), lambda p: a0 * profile_curl(p)
-            )
-            semi_modes.append(T * curl)
-            norm_modes.append(T * (curl + l2))
-            continue
-        ac, as_ = (float(v) for v in exact(k))
+        # the mean mode has no sine member; its time weight is T, not T / 2
+        members = list(zip(exact(k), field.mode(k)))[: 1 if k == 0 else 2]
         l2 = 0.0
         curl = 0.0
-        for amp, coef in ((ac, field.mode(k)[0]), (as_, field.mode(k)[1])):
+        for amp, coef in members:
             dl2, dcurl = difference_norms(
                 mesh,
                 dofmap.extend(coef),
-                lambda p, a=amp: a * profile(p),
-                lambda p, a=amp: a * profile_curl(p),
+                lambda p, a=float(amp): a * profile(p),
+                lambda p, a=float(amp): a * profile_curl(p),
             )
             l2 += dl2
             curl += dcurl
-        semi_modes.append(0.5 * T * (k * omega * l2 + curl))
-        norm_modes.append(0.5 * T * ((1.0 + k * omega) * l2 + curl))
-    ks = np.arange(period.N + 1, kmax + 1)
-    tc, ts = exact(ks)
-    amp_sq = (np.asarray(tc) ** 2 + np.asarray(ts) ** 2) * PROFILE_NORM_SQ
-    curl_sq = (np.asarray(tc) ** 2 + np.asarray(ts) ** 2) * PROFILE_CURL_SQ
-    kw = ks * omega
-    semi_tail = 0.5 * T * float(np.sum(kw * amp_sq + curl_sq))
-    norm_tail = 0.5 * T * float(np.sum((1.0 + kw) * amp_sq + curl_sq))
-    return ErrorBreakdown(semi_modes, norm_modes, semi_tail, norm_tail)
+        weight = T if k == 0 else 0.5 * T
+        semi_modes.append(weight * (k * omega * l2 + curl))
+        norm_modes.append(weight * ((1.0 + k * omega) * l2 + curl))
+    semi_tail = 0.0
+    norm_tail = 0.0
+    for first in range(period.N + 1, kmax + 1, TAIL_CHUNK):
+        ks = np.arange(first, min(first + TAIL_CHUNK, kmax + 1))
+        tc, ts = exact(ks)
+        amp_sq = (np.asarray(tc) ** 2 + np.asarray(ts) ** 2) * PROFILE_NORM_SQ
+        curl_sq = (np.asarray(tc) ** 2 + np.asarray(ts) ** 2) * PROFILE_CURL_SQ
+        kw = ks * omega
+        semi_tail += float(np.sum(kw * amp_sq + curl_sq))
+        norm_tail += float(np.sum((1.0 + kw) * amp_sq + curl_sq))
+    return ErrorBreakdown(
+        semi_modes, norm_modes, 0.5 * T * semi_tail, 0.5 * T * norm_tail
+    )
 
 
 def benchmark_errors(bench, fields, kmax=200000):

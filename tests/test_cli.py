@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -144,7 +146,6 @@ def test_config_rejects_booleans_and_non_finite_numbers(tmp_path, fields):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("command", ["forward", "ocp"])
 def test_vanishing_exact_error_is_a_config_error(tmp_path, capsys, command):
     # at this period mode 1's exact and discrete amplitudes both vanish,
@@ -156,6 +157,38 @@ def test_vanishing_exact_error_is_a_config_error(tmp_path, capsys, command):
     assert main([command, "--config", config, "--out", str(out)]) == EXIT_CONFIG
     assert "configuration error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    command=st.sampled_from(["forward", "ocp"]),
+    preset=st.sampled_from([None, "trig"]),
+    mesh_n=st.integers(1, 2),
+    truncation=st.integers(0, 2),
+    period=st.one_of(st.just(2.0 * math.pi), _log_uniform(1e-6, 1e6)),
+    alphas=st.lists(_log_uniform(1e-4, 1e4), min_size=1, max_size=2),
+)
+def test_any_small_run_ends_in_a_documented_exit_code(
+    command, preset, mesh_n, truncation, period, alphas
+):
+    # extreme alphas push the flux matrices out of the shared factor's
+    # band, so this also runs the one-shot factorization path
+    fields = {
+        "mesh_n": mesh_n,
+        "truncation": truncation,
+        "period": period,
+        "alphas": alphas,
+    }
+    if preset is not None:
+        fields["preset"] = preset
+    with tempfile.TemporaryDirectory() as tmp:
+        config = _write_config(Path(tmp), **fields)
+        argv = [command, "--config", config, "--out", str(Path(tmp) / "out")]
+        assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_BOUND)
 
 
 def test_oversized_mesh_is_a_config_error(tmp_path):
@@ -236,6 +269,19 @@ def test_forward_run_tables(tmp_path):
     assert counts["free_edges"] == "26"
 
 
+def test_verbose_run_prints_flux_solve_counts(tmp_path, capsys):
+    config = _write_config(tmp_path, mesh_n=2, truncation=1)
+    out = tmp_path / "out"
+    assert main(["forward", "--config", config, "--out", str(out), "--verbose"]) == EXIT_OK
+    lines = [line for line in capsys.readouterr().out.splitlines() if "i_eff=" in line]
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    case = report["cases"][0]
+    assert len(lines) == len(case["modes"]) + 1
+    for line, bound in zip(lines, case["modes"] + [case["total"]]):
+        assert f"{bound['pcg_steps']} pcg steps" in line
+        assert f"{bound['direct_solves']} direct solves" in line
+
+
 def test_forward_run_deterministic(tmp_path):
     config = _write_config(tmp_path, mesh_n=2, truncation=1)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -273,6 +319,16 @@ def test_ocp_threads_match_serial(tmp_path):
         rows_s = _read_csv(serial / f"table_ocp_k{k}.csv")
         rows_t = _read_csv(threaded / f"table_ocp_k{k}.csv")
         assert _drop_ctime(rows_s) == _drop_ctime(rows_t)
+    # the whole report, flux-solve counts included, apart from wall time
+    reports = []
+    for out in (serial, threaded):
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        for case in report["cases"]:
+            del case["estimate_seconds"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    for bound in reports[0]["cases"][0]["modes"] + [reports[0]["cases"][0]["total"]]:
+        assert bound["pcg_steps"] > 0 and bound["direct_solves"] == 0
 
 
 def test_exact_substitution_majorant_refines(tmp_path):

@@ -1,4 +1,7 @@
 import math
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -550,15 +553,11 @@ def test_batched_flux_path_reproduces_per_mode_traces(case, expected):
     np.testing.assert_allclose(values, expected, rtol=1e-10)
 
 
-@pytest.mark.parametrize(
-    "kind, alpha, per_iteration, saved",
-    [("forward", None, 1, 0), ("ocp", 0.5, 2, 1)],
-)
-def test_flux_factorizations_batched_over_modes(
-    monkeypatch, kind, alpha, per_iteration, saved
-):
-    # one factorization per flux matrix and iteration, for all modes; the
-    # ocp projection step shares one mass-matrix factor between both fields
+@pytest.mark.parametrize("kind, alpha", [("forward", None), ("ocp", 0.5)])
+def test_flux_factorizations_batched_over_modes(monkeypatch, kind, alpha):
+    # a whole total run factors one matrix, the workspace's cf^2 K + M:
+    # every flux step of every mode runs PCG off it, and the mass
+    # projection of iteration 1 runs Jacobi-PCG
     factored = []
     splu = estimator.splu
 
@@ -568,7 +567,105 @@ def test_flux_factorizations_batched_over_modes(
 
     monkeypatch.setattr(estimator, "splu", counting_splu)
     report = _majorant(kind, 2, 2, alpha=alpha)
-    assert len(factored) == per_iteration * len(report.trace) - saved
+    assert len(factored) == 1
+    assert report.direct_solves == 0
+    assert report.pcg_steps >= len(report.trace)
+
+
+def _flux_problem(n=3):
+    mesh = build_box_mesh(n)
+    ws = FluxWorkspace.from_mesh(mesh, unit_coeffs(mesh))
+    rng = np.random.default_rng(7)
+    rhs = [rng.standard_normal(mesh.num_edges) for _ in range(3)]
+    rhs.insert(1, np.zeros(mesh.num_edges))
+    return ws, rhs
+
+
+@pytest.mark.parametrize(
+    "curl_weight, mass_weight, direct",
+    [
+        (0.0, 1.0, 0),  # Jacobi-PCG on the mass matrix
+        (0.05, 1.0, 0),  # at the anchor
+        (0.3, 2.0, 0),  # ratio 3 times the anchor
+        (0.007, 1.0, 0),  # ratio about 1/7 of the anchor
+        (2.0, 1.0, 1),  # far above the band
+        (1e-4, 3.0, 1),  # far below it
+    ],
+)
+def test_flux_solve_matches_a_direct_factorization(curl_weight, mass_weight, direct):
+    ws, rhs = _flux_problem()
+    counts = {"pcg_steps": 0, "direct_solves": 0}
+    got = ws.solve(curl_weight, mass_weight, rhs, 0.05, counts)
+    assert isinstance(got, list) and len(got) == len(rhs)
+    matrix = (curl_weight * ws.stiffness + mass_weight * ws.mass).tocsc()
+    lu = estimator.splu(matrix)
+    for x, b in zip(got, rhs):
+        expected = lu.solve(b)
+        assert np.linalg.norm(x - expected) <= 1e-9 * np.linalg.norm(expected)
+    assert not got[1].any()
+    assert counts["direct_solves"] == direct
+    if direct:
+        assert counts["pcg_steps"] == 0
+
+
+def test_flux_solve_falls_back_past_the_step_cap(monkeypatch):
+    ws, rhs = _flux_problem()
+    monkeypatch.setattr(estimator, "PCG_MAXIT", 2)
+    counts = {"pcg_steps": 0, "direct_solves": 0}
+    got = ws.solve(0.3, 2.0, rhs, 0.05, counts)
+    assert counts == {"pcg_steps": 2, "direct_solves": 1}
+    lu = estimator.splu((0.3 * ws.stiffness + 2.0 * ws.mass).tocsc())
+    for x, b in zip(got, rhs):
+        np.testing.assert_allclose(x, lu.solve(b), rtol=1e-12, atol=1e-15)
+
+
+def test_concurrent_minimizations_share_one_factor(monkeypatch):
+    # more threads than cores on one workspace, switching as often as the
+    # interpreter allows: one factor between them (a racy lazy build would
+    # factor twice), and every report bitwise equal to the same
+    # minimizations run one by one
+    bench = build_benchmark("forward", 3, 2)
+    fields, _ = solve_benchmark(bench)
+    state = full_field(bench.dofmap, fields["state"])
+    consts = stability_constants("forward", "seminorm", bench.coefficients)
+    tail = remainder(bench.data_profile, PROFILE_NORM_SQ, bench.period)
+
+    def run(ws, part):
+        return minimize_majorant(
+            bench.mesh, bench.coefficients, bench.period, "forward", state,
+            mode_evaluators(bench), consts, workspace=ws, **part,
+        )
+
+    parts = [{"mode": 1}, {"tail": tail}, {"mode": 2}, {"mode": 0}]
+    serial_ws = FluxWorkspace.from_mesh(bench.mesh, bench.coefficients)
+    serial = [run(serial_ws, part) for part in parts]
+    factored = []
+    splu = estimator.splu
+
+    def slow_counting_splu(*args, **kwargs):
+        # a slow factorization keeps the other threads arriving while the
+        # first one factors, which is when an unguarded build repeats
+        factored.append(1)
+        time.sleep(0.3)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "splu", slow_counting_splu)
+    ws = FluxWorkspace.from_mesh(bench.mesh, bench.coefficients)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+            futures = [pool.submit(run, ws, part) for part in parts]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(factored) == 1
+    for a, b in zip(serial, threaded):
+        assert [row.majorant_sq for row in a.trace] == [
+            row.majorant_sq for row in b.trace
+        ]
+        assert a.betas == b.betas and a.residual_sums == b.residual_sums
+        assert (a.pcg_steps, a.direct_solves) == (b.pcg_steps, b.direct_solves)
 
 
 def test_majorant_stop_at_rounding_level():

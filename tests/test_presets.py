@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -112,6 +114,75 @@ def test_scalar_ocp_exact_vs_dense_solve(k, alpha):
     ref = np.linalg.solve(mat, [dc, ds, 0.0, 0.0])
     got = [float(v) for v in scalar_ocp_exact(k, alpha, ocp_data_modes)]
     np.testing.assert_allclose(got, ref, rtol=1e-11)
+
+
+def _exact_reference(k, omega, data_modes, alpha=None):
+    # the closed forms in exact rational arithmetic on the float inputs,
+    # rounded once at the end: no intermediate overflows or underflows
+    mu = Fraction(EIGENVALUE)
+    kw = Fraction(float(k) * omega)
+    gc, gs = (Fraction(float(v)) for v in data_modes(k))
+    det = mu * mu + kw * kw
+    if alpha is None:
+        amps = ((mu * gc - kw * gs) / det, (kw * gc + mu * gs) / det)
+    else:
+        a = Fraction(alpha)
+        ac, as_ = gc / (1 + a * det), gs / (1 + a * det)
+        amps = (ac, as_, -a * (mu * ac + kw * as_), -a * (-kw * ac + mu * as_))
+    return [float(v) for v in amps]
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_exact_amplitudes_at_a_tiny_period(k):
+    # at period 1e-200, (k omega)^2 overflows: the amplitudes must still
+    # come out nonzero, without a floating-point warning
+    omega = PeriodSpec(1e-200, 7).omega
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forward = [float(v) for v in scalar_forward_exact(k, forward_data_modes, omega)]
+        ocp = [float(v) for v in scalar_ocp_exact(k, 1e-300, ocp_data_modes, omega)]
+        unit = [float(v) for v in scalar_ocp_exact(k, 1.0, ocp_data_modes, omega)]
+    for got, alpha, modes in (
+        (forward, None, forward_data_modes),
+        (ocp, 1e-300, ocp_data_modes),
+        (unit, 1.0, ocp_data_modes),
+    ):
+        expected = _exact_reference(k, omega, modes, alpha)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+    assert all(forward) and all(ocp)
+    # at alpha 1 the state amplitudes (about 1e-401) underflow; the
+    # adjoint ones (about 1e-201) must not
+    assert unit[0] == unit[1] == 0.0 and all(unit[2:])
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1.0, 1e3])
+def test_exact_amplitudes_match_the_unscaled_formula(alpha):
+    # at ordinary periods the scaled evaluation agrees with the direct one,
+    # A = L^-1 g (forward), A = d / (1 + alpha |L|^2), P = -alpha L A (ocp),
+    # and with the exact values of the closed forms.  P_s = -alpha
+    # (-kw A_c + mu A_s) cancels near k = 50 at omega = 1, where the direct
+    # formula itself is off by about 2e-14, so P is compared relative to
+    # the size of its terms.
+    k = np.arange(0, 60)
+    for omega in (1.0, 0.1, 40.0):
+        mu, kw = EIGENVALUE, k * omega
+        det = mu * mu + kw * kw
+        gc, gs = forward_data_modes(k)
+        direct = ((mu * gc - kw * gs) / det, (kw * gc + mu * gs) / det)
+        got = scalar_forward_exact(k, forward_data_modes, omega)
+        np.testing.assert_allclose(got, direct, rtol=1e-14, atol=0.0)
+        dc, ds = ocp_data_modes(k)
+        ac, as_ = dc / (1.0 + alpha * det), ds / (1.0 + alpha * det)
+        got = np.array(scalar_ocp_exact(k, alpha, ocp_data_modes, omega))
+        np.testing.assert_allclose(got[:2], (ac, as_), rtol=1e-14, atol=0.0)
+        for p, direct_p, terms in (
+            (got[2], -alpha * (mu * ac + kw * as_), (mu * ac, kw * as_)),
+            (got[3], -alpha * (-kw * ac + mu * as_), (kw * ac, mu * as_)),
+        ):
+            size = alpha * (np.abs(terms[0]) + np.abs(terms[1]))
+            assert np.all(np.abs(p - direct_p) <= 1e-14 * size)
+        exact = np.array([_exact_reference(j, omega, ocp_data_modes, alpha) for j in k])
+        np.testing.assert_allclose(got, exact.T, rtol=1e-14, atol=0.0)
 
 
 def test_profile_norms_match_closed_forms():
