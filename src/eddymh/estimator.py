@@ -9,6 +9,14 @@ alternating minimization in the fluxes (SPD solves, decoupled per mode
 and per component) and in the parameters (closed forms), so the recorded
 value does not increase between iterations beyond rounding.
 
+Both problems are built from one kind of *pair*: a field phi, its flux t
+and its load g, with the equation residual g - sigma d/dt phi - curl t
+(d/dt maps a mode's (cos, sin) coefficients to kw (sin, -cos)) and the
+flux defect t - nu curl phi.  The forward problem is one pair (eta, tau,
+the data); the control problem two: the state (eta, tau, -zeta / alpha)
+and the adjoint (zeta, rho, eta - y_d), which runs backwards in time
+(kw -> -kw).  One residual kernel and one flux step serve every pair.
+
 As any flux gives a valid bound, an inexact flux solve can only make it
 less sharp, never wrong: every flux matrix ``a K + b M`` is solved by
 conjugate gradients preconditioned with one shared factor of
@@ -120,6 +128,24 @@ def _analytic_at_points(mesh, f):
     return np.asarray(f(bd.points.reshape(-1, 3))).reshape(nt, nq, 3)
 
 
+def _pair_residuals(mesh, coefficients, kw, field, flux, load):
+    # squared equation residual and flux defect of one pair, summed over
+    # the members of ``load`` (its point values, one per member: the
+    # cosine alone for the mean mode, else cosine and sine)
+    sig = coefficients.sigma[:, None, None]
+    nu = coefficients.nu[:, None, None]
+    eq = 0.0
+    defect = 0.0
+    for i, g in enumerate(load):
+        if kw:
+            g = g + (2 * i - 1) * kw * sig * fe_values(mesh, field[1 - i])
+        eq += integrate_squared(mesh, g - _curl_at_points(mesh, flux[i]))
+        defect += integrate_squared(
+            mesh, fe_values(mesh, flux[i]) - nu * _curl_at_points(mesh, field[i])
+        )
+    return eq, defect
+
+
 def residuals_forward(mesh, coefficients, period, k, eta, tau, load):
     """Squared residual norms (|R1|^2, |R2|^2) of one forward mode.
 
@@ -136,28 +162,8 @@ def residuals_forward(mesh, coefficients, period, k, eta, tau, load):
     Cosine and sine contributions are summed; all integrals use the
     degree-5 rule, exact for the discrete parts.
     """
-    sig = coefficients.sigma[:, None, None]
-    nu = coefficients.nu[:, None, None]
-    if k == 0:
-        r1v = _analytic_at_points(mesh, load[0]) - _curl_at_points(mesh, tau[0])
-        r2v = fe_values(mesh, tau[0]) - nu * _curl_at_points(mesh, eta[0])
-        return integrate_squared(mesh, r1v), integrate_squared(mesh, r2v)
-    kw = k * period.omega
-    r1 = 0.0
-    r2 = 0.0
-    for sign, this, other, t, f in (
-        (-1.0, eta[0], eta[1], tau[0], load[0]),
-        (+1.0, eta[1], eta[0], tau[1], load[1]),
-    ):
-        r1v = (
-            _analytic_at_points(mesh, f)
-            + sign * kw * sig * fe_values(mesh, other)
-            - _curl_at_points(mesh, t)
-        )
-        r2v = fe_values(mesh, t) - nu * _curl_at_points(mesh, this)
-        r1 += integrate_squared(mesh, r1v)
-        r2 += integrate_squared(mesh, r2v)
-    return r1, r2
+    members = (_analytic_at_points(mesh, f) for f in load[: 1 if k == 0 else 2])
+    return _pair_residuals(mesh, coefficients, k * period.omega, eta, tau, members)
 
 
 def residuals_ocp(mesh, coefficients, period, k, eta, zeta, tau, rho, desired, alpha):
@@ -169,40 +175,21 @@ def residuals_ocp(mesh, coefficients, period, k, eta, zeta, tau, rho, desired, a
         (the control is eliminated through u = -zeta / alpha);
     R4: adjoint flux defect rho - nu curl zeta.
 
+    These are the residuals of two pairs (module docstring): the state
+    pair's equation residual is -R3 and its defect R2; the adjoint
+    pair's are R1 and R4.
     ``desired`` is the (cos, sin) evaluator pair of the target's mode.
     """
-    sig = coefficients.sigma[:, None, None]
-    nu = coefficients.nu[:, None, None]
-    if k == 0:
-        r1v = (
-            fe_values(mesh, eta[0])
-            - _analytic_at_points(mesh, desired[0])
-            - _curl_at_points(mesh, rho[0])
-        )
-        r2v = fe_values(mesh, tau[0]) - nu * _curl_at_points(mesh, eta[0])
-        r3v = _curl_at_points(mesh, tau[0]) + fe_values(mesh, zeta[0]) / alpha
-        r4v = fe_values(mesh, rho[0]) - nu * _curl_at_points(mesh, zeta[0])
-        return tuple(integrate_squared(mesh, v) for v in (r1v, r2v, r3v, r4v))
+    m = 1 if k == 0 else 2
     kw = k * period.omega
-    sums = [0.0, 0.0, 0.0, 0.0]
-    for sign, ix in ((+1.0, (0, 1)), (-1.0, (1, 0))):
-        this, other = ix
-        r1v = (
-            sign * kw * sig * fe_values(mesh, zeta[other])
-            - _curl_at_points(mesh, rho[this])
-            + fe_values(mesh, eta[this])
-            - _analytic_at_points(mesh, desired[this])
-        )
-        r2v = fe_values(mesh, tau[this]) - nu * _curl_at_points(mesh, eta[this])
-        r3v = (
-            sign * kw * sig * fe_values(mesh, eta[other])
-            + _curl_at_points(mesh, tau[this])
-            + fe_values(mesh, zeta[this]) / alpha
-        )
-        r4v = fe_values(mesh, rho[this]) - nu * _curl_at_points(mesh, zeta[this])
-        for i, v in enumerate((r1v, r2v, r3v, r4v)):
-            sums[i] += integrate_squared(mesh, v)
-    return tuple(sums)
+    state = (-fe_values(mesh, z) / alpha for z in zeta[:m])
+    adjoint = (
+        fe_values(mesh, e) - _analytic_at_points(mesh, y)
+        for e, y in zip(eta[:m], desired[:m])
+    )
+    r3, r2 = _pair_residuals(mesh, coefficients, kw, eta, tau, state)
+    r1, r4 = _pair_residuals(mesh, coefficients, -kw, zeta, rho, adjoint)
+    return r1, r2, r3, r4
 
 
 def _forward_weights(beta, cf):
@@ -404,100 +391,52 @@ class FluxWorkspace:
         return list(x.T)
 
 
-def _solve_blocks(ws, curl_weight, mass_weight, blocks, cf, counts):
-    # One solve for every block of right-hand sides; each block (one
-    # field of one mode) comes back as a (cos, sin) pair, a 1-tuple for
-    # the mean mode, whose sine member the residuals ignore.
-    rhs = [r for b in blocks for r in b]
-    solutions = iter(ws.solve(curl_weight, mass_weight, rhs, cf * cf, counts))
-    return [tuple(next(solutions) for _ in b) for b in blocks]
+def _pairs(ws, period, kind, modes, alpha):
+    # Every pair of every mode as (kw, field, curl load), laid out
+    # pairs[p][j] for pair p (forward or state, then adjoint) of mode j.
+    # A curl load holds, per member, the load g tested against the curl
+    # of every edge basis function; fixed over a minimization, so built once.
+    one = ws.pair_one_t
+    pairs = ([], [])
+    for k, eta, zeta, f in modes:
+        kw = k * period.omega
+        data = [assemble_curl_load(ws.mesh, None, g) for g in f[: 1 if k == 0 else 2]]
+        if kind == "ocp":
+            pairs[1].append((-kw, zeta, [one @ e - c for e, c in zip(eta, data)]))
+            data = [-(one @ z) / alpha for z in zeta[: len(data)]]
+        pairs[0].append((kw, eta, data))
+    return list(pairs) if kind == "ocp" else [pairs[0]]
 
 
-def _curl_loads(ws, k, load):
-    # (f, curl phi_i) of the mode's data, cosine and sine; fixed over a
-    # minimization, so assembled once
-    members = load[:1] if k == 0 else load
-    return tuple(assemble_curl_load(ws.mesh, None, f) for f in members)
+def _pair_rhs(ws, kw, field, curl_load, w_eq, w_def):
+    # normal equations of w_eq |g - sigma d/dt phi - curl t|^2 +
+    # w_def |t - nu curl phi|^2 in the flux t, one per member
+    rhs = []
+    for i, g in enumerate(curl_load):
+        if kw:
+            g = g + (2 * i - 1) * kw * (ws.pair_sigma_t @ field[1 - i])
+        rhs.append(w_eq * g + w_def * (ws.pair_nu @ field[i]))
+    return rhs
 
 
-def _forward_rhs(ws, period, k, eta, curl_load, weights):
-    kw = k * period.omega
-    a, b = weights
-    if k == 0:
-        return [a * curl_load[0] + b * (ws.pair_nu @ eta[0])]
-    rhs_cos = (
-        a * (curl_load[0] - kw * (ws.pair_sigma_t @ eta[1]))
-        + b * (ws.pair_nu @ eta[0])
-    )
-    rhs_sin = (
-        a * (curl_load[1] + kw * (ws.pair_sigma_t @ eta[0]))
-        + b * (ws.pair_nu @ eta[1])
-    )
-    return [rhs_cos, rhs_sin]
-
-
-def _ocp_rhs(ws, period, k, eta, zeta, curl_desired, alpha, weights):
-    # (tau, rho) right-hand-side blocks of one mode
-    kw = k * period.omega
-    w_r1, w_r2, w_r3, w_r4 = weights
-    if k == 0:
-        tau_rhs = w_r2 * (ws.pair_nu @ eta[0]) - w_r3 / alpha * (
-            ws.pair_one_t @ zeta[0]
-        )
-        rho_rhs = w_r1 * (ws.pair_one_t @ eta[0] - curl_desired[0]) + w_r4 * (
-            ws.pair_nu @ zeta[0]
-        )
-        return [tau_rhs], [rho_rhs]
-    tau_rhs = []
-    rho_rhs = []
-    for sign, this, other in ((+1.0, 0, 1), (-1.0, 1, 0)):
-        q = sign * kw * (ws.pair_sigma_t @ eta[other]) + (
-            ws.pair_one_t @ zeta[this]
-        ) / alpha
-        tau_rhs.append(w_r2 * (ws.pair_nu @ eta[this]) - w_r3 * q)
-        m = (
-            sign * kw * (ws.pair_sigma_t @ zeta[other])
-            + ws.pair_one_t @ eta[this]
-            - curl_desired[this]
-        )
-        rho_rhs.append(w_r1 * m + w_r4 * (ws.pair_nu @ zeta[this]))
-    return tau_rhs, rho_rhs
-
-
-def _projected_fluxes(ws, modes, cf, counts):
-    # the constitutive guess of iteration 1, the L2 projection of nu curl
-    # (field), as (tau pairs, rho pairs) of all modes from one mass solve;
-    # the rho pairs are None without an adjoint
-    fields = [(k, eta) for k, eta, _, _ in modes]
-    fields += [(k, zeta) for k, _, zeta, _ in modes if zeta is not None]
-    blocks = [
-        [ws.pair_nu @ c for c in pair[: 1 if k == 0 else 2]] for k, pair in fields
-    ]
-    both = _solve_blocks(ws, 0.0, 1.0, blocks, cf, counts)
-    return both[: len(modes)], both[len(modes) :] or [None] * len(modes)
-
-
-def _forward_fluxes(ws, period, modes, curl_loads, beta, cf, counts):
-    # tau pairs of all modes from one multi-column solve
-    w = _forward_weights(beta, cf)
-    blocks = [
-        _forward_rhs(ws, period, k, eta, g, w)
-        for (k, eta, _, _), g in zip(modes, curl_loads)
-    ]
-    return _solve_blocks(ws, *w, blocks, cf, counts)
-
-
-def _ocp_fluxes(ws, period, modes, curl_loads, alpha, betas, cf, counts):
-    # (tau pairs, rho pairs) of all modes from one solve per field
-    w = _ocp_weights(betas, cf)
-    blocks = [
-        _ocp_rhs(ws, period, k, eta, zeta, g, alpha, w)
-        for (k, eta, zeta, _), g in zip(modes, curl_loads)
-    ]
-    w_r1, w_r2, w_r3, w_r4 = w
-    taus = _solve_blocks(ws, w_r3, w_r2, [t for t, _ in blocks], cf, counts)
-    rhos = _solve_blocks(ws, w_r1, w_r4, [r for _, r in blocks], cf, counts)
-    return taus, rhos
+def _flux_step(ws, pairs, weights, cf, counts):
+    # Fluxes laid out as ``pairs``, each a (cos, sin) tuple, a 1-tuple
+    # for the mean mode, whose sine member the residuals ignore.  Pair p
+    # takes one multi-column solve with its Young weights weights[p] =
+    # (w_eq, w_def); without weights (iteration 1), one mass solve
+    # projects nu curl (field) for every pair.
+    if weights is None:
+        rhs = [ws.pair_nu @ c for p in pairs for _, phi, g in p for c in phi[: len(g)]]
+        solves = [(0.0, 1.0, rhs)]
+    else:
+        solves = [
+            (w_eq, w_def, [r for p in pair for r in _pair_rhs(ws, *p, w_eq, w_def)])
+            for pair, (w_eq, w_def) in zip(pairs, weights)
+        ]
+    solutions = iter([
+        x for w_k, w_m, rhs in solves for x in ws.solve(w_k, w_m, rhs, cf * cf, counts)
+    ])
+    return [[tuple(next(solutions) for _ in g) for _, _, g in pair] for pair in pairs]
 
 
 @dataclass(eq=False)
@@ -573,13 +512,13 @@ def minimize_majorant(
     iteration 2 on, each step solves the flux subproblems for the
     current parameters to relative residual PCG_RTOL, so the recorded
     bound does not increase beyond rounding.  Every mode in an iteration
-    shares the flux matrix of each field, so an iteration runs one
-    multi-column solve per field (the mass matrix of iteration 1 once
-    for all fields): the right-hand sides of all modes are built first,
+    shares the flux matrix of each pair, so an iteration runs one
+    multi-column solve per pair (the mass matrix of iteration 1 once
+    for all pairs): the right-hand sides of all modes are built first,
     solved together, and the residuals evaluated last.  The report
     counts the PCG steps and the one-shot factorizations those solves
-    took.  The data's curl loads do not change between iterations and
-    are assembled once per call.
+    took.  The pairs' curl loads do not change between iterations and
+    are built once per call.
     """
     if kind not in ("forward", "ocp"):
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -588,8 +527,10 @@ def minimize_majorant(
             raise ValueError("ocp minimization needs the adjoint field")
         if alpha is None or not alpha > 0.0:
             raise ValueError("ocp minimization needs alpha > 0")
-    if state.N != period.N:
+    if state.N != period.N or (adjoint is not None and adjoint.N != period.N):
         raise ValueError("field truncation does not match the period's mode count")
+    if mode is not None and not 0 <= mode <= period.N:
+        raise ValueError(f"mode {mode} outside 0..{period.N}")
     ws = workspace if workspace is not None else FluxWorkspace.from_mesh(mesh, coefficients)
     cf = constants.friedrichs
     mode_list = list(range(period.N + 1)) if mode is None else [int(mode)]
@@ -598,7 +539,7 @@ def minimize_majorant(
         (k, state.mode(k), None if adjoint is None else adjoint.mode(k), loads(k))
         for k in mode_list
     ]
-    curl_loads = [_curl_loads(ws, k, f) for k, _, _, f in modes]
+    pairs = _pairs(ws, period, kind, modes, alpha)
     betas = (1.0,) if kind == "forward" else (1.0, 1.0, 1.0)
     counts = {"pcg_steps": 0, "direct_solves": 0}
     trace = []
@@ -608,21 +549,20 @@ def minimize_majorant(
     for iteration in range(1, maxit + 1):
         start = time.perf_counter()
         if iteration == 1:
-            taus, rhos = _projected_fluxes(ws, modes, cf, counts)
+            pair_weights = None
         elif kind == "forward":
-            taus = _forward_fluxes(ws, period, modes, curl_loads, betas[0], cf, counts)
-            rhos = [None] * len(modes)
+            pair_weights = [_forward_weights(betas[0], cf)]
         else:
-            taus, rhos = _ocp_fluxes(
-                ws, period, modes, curl_loads, alpha, betas, cf, counts
-            )
+            w_r1, w_r2, w_r3, w_r4 = _ocp_weights(betas, cf)
+            pair_weights = [(w_r3, w_r2), (w_r1, w_r4)]
+        fluxes = _flux_step(ws, pairs, pair_weights, cf, counts)
         sums = {key: 0.0 for key in ("r1", "r2", "r3", "r4")}
-        for (k, eta, zeta, f), tau, rho in zip(modes, taus, rhos):
+        for (k, eta, zeta, f), *flux in zip(modes, *fluxes):
             if kind == "forward":
-                res = residuals_forward(mesh, coefficients, period, k, eta, tau, f)
+                res = residuals_forward(mesh, coefficients, period, k, eta, *flux, f)
             else:
                 res = residuals_ocp(
-                    mesh, coefficients, period, k, eta, zeta, tau, rho, f, alpha
+                    mesh, coefficients, period, k, eta, zeta, *flux, f, alpha
                 )
             for key, r in zip(("r1", "r2", "r3", "r4"), res):
                 sums[key] += weights[k] * r

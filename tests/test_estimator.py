@@ -23,7 +23,7 @@ from eddymh.estimator import (
     residuals_ocp,
     stability_constants,
 )
-from eddymh.harmonics import PeriodSpec, remainder
+from eddymh.harmonics import FourierField, PeriodSpec, remainder
 from eddymh.mesh import LOCAL_EDGES, build_box_mesh
 from eddymh.presets import (
     PROFILE_NORM_SQ,
@@ -500,6 +500,19 @@ def test_minimize_majorant_validation():
         minimize_majorant(
             bench.mesh, bench.coefficients, short, "forward", state, loads, consts
         )
+    # a mode outside 0..N would read another mode's coefficients or none
+    for mode in (-1, 2):
+        with pytest.raises(ValueError):
+            minimize_majorant(
+                bench.mesh, bench.coefficients, bench.period, "forward", state,
+                loads, consts, mode=mode,
+            )
+    truncated = FourierField(state.mode0, [])
+    with pytest.raises(ValueError):
+        minimize_majorant(
+            bench.mesh, bench.coefficients, bench.period, "ocp", state, loads,
+            consts, adjoint=truncated, alpha=1.0,
+        )
 
 
 def _majorant(kind, n, truncation, alpha=None, mode=None, **options):
@@ -570,6 +583,49 @@ def test_flux_factorizations_batched_over_modes(monkeypatch, kind, alpha):
     assert len(factored) == 1
     assert report.direct_solves == 0
     assert report.pcg_steps >= len(report.trace)
+
+
+@pytest.mark.parametrize("kind, alpha", [("forward", None), ("ocp", 0.5)])
+@pytest.mark.parametrize("mode", [0, 1])
+def test_each_flux_step_minimizes_its_own_pair(monkeypatch, kind, alpha, mode):
+    # The fluxes of a weighted flux step minimize the bound at the Young
+    # parameters they were solved for, each pair's flux on its own: along
+    # a random direction d the bound is a parabola in that flux, whose
+    # first difference vanishes against its second.  This pins the sign
+    # and the time direction of every flux right-hand side.
+    calls = []
+    for name in ("residuals_forward", "residuals_ocp"):
+        residuals = getattr(estimator, name)
+        monkeypatch.setattr(
+            estimator, name,
+            lambda *args, f=residuals: calls.append(args) or f(*args),
+        )
+    report = _majorant(kind, 2, 1, alpha=alpha, mode=mode, tol=0.0, maxit=2)
+    assert len(report.trace) == 2  # iteration 2 is the weighted step
+    args = list(calls[-1])
+    betas = report.trace[-1].betas
+    consts = stability_constants(kind, "seminorm", args[1], alpha=alpha)
+
+    def bound(flux_args):
+        if kind == "forward":
+            return majorant_forward(
+                *residuals_forward(*flux_args), consts, beta=betas[0]
+            )
+        return majorant_ocp(*residuals_ocp(*flux_args), consts, betas)
+
+    rng = np.random.default_rng(11)
+    flux_slots = (5,) if kind == "forward" else (6, 7)  # tau, then rho
+    for slot in flux_slots:
+        flux = args[slot]
+        d = [rng.standard_normal(c.size) * np.linalg.norm(c) / c.size**0.5
+             for c in flux]
+        values = []
+        for step in (1.0, -1.0, 0.0):
+            moved = list(args)
+            moved[slot] = tuple(c + step * e for c, e in zip(flux, d))
+            values.append(bound(moved))
+        plus, minus, centre = values
+        assert abs(plus - minus) <= 1e-6 * (plus + minus - 2.0 * centre)
 
 
 def _flux_problem(n=3):
