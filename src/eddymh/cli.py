@@ -6,8 +6,8 @@ per mode plus a JSON report into the output directory.  ``ocp`` sweeps
 the configured list of cost parameters; one mesh, one set of system
 matrices and one flux workspace serve every alpha.  ``verify`` runs a fast
 self-check suite (element quadrature, gauge kernel, Fourier identities,
-dense-solve agreement, Friedrichs eigenvalue, guaranteed bound) and
-prints a pass/fail table.
+dense-solve agreement, Friedrichs eigenvalue, residual forms, guaranteed
+bound) and prints a pass/fail table.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 guaranteed-bound violation, 5 failed self check.
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -34,9 +35,13 @@ from .estimator import (
     FluxWorkspace,
     StabilityConstants,
     minimize_majorant,
+    residual_forms,
+    residuals_forward,
+    residuals_ocp,
     stability_constants,
 )
 from .harmonics import FourierField, PeriodSpec, fourier_coeff, remainder
+from .harmonics import friedrichs_constant
 from .mesh import build_box_mesh
 from .presets import (
     PROFILE_NORM_SQ,
@@ -303,7 +308,8 @@ def _run_case(config, bench, workspace, tail, verbose):
             print(
                 f"  {what}{label}: majorant_sq={report.majorant_sq:.6e} "
                 f"i_eff={report.efficiency:.3f} ({len(report.trace)} iterations, "
-                f"{report.pcg_steps} pcg steps, {report.direct_solves} direct solves)"
+                f"{report.pcg_steps} pcg steps, {report.direct_solves} direct solves, "
+                f"form gap {report.form_gap:.1e})"
             )
         return report
 
@@ -327,6 +333,9 @@ def _sweep(problem, config, threads=None, verbose=False):
     """
     preset = config.resolve_preset(problem)
     config.check_unit_coefficients()
+    # every run meshes the unit cube; a smaller constant voids the guarantee
+    if (config.friedrichs or 1.0) < friedrichs_constant() * (1.0 - 1e-12):
+        raise ConfigError("friedrichs is below the unit cube's constant")
     alphas = config.alphas if problem == "ocp" else (None,)
     try:
         bench = build_benchmark(
@@ -353,44 +362,37 @@ def _sweep(problem, config, threads=None, verbose=False):
     return bench, [case(alpha) for alpha in alphas]
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_forward_tables(out_dir, case):
     for k, report in enumerate(case.reports):
-        path = out_dir / f"table_forward_k{k}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["iteration", "ctime", "beta", "majorant_sq", "i_eff"])
-            elapsed = 0.0
-            for row in report.trace:
-                elapsed += row.wall_time
-                writer.writerow(
-                    [
-                        row.iteration,
-                        f"{elapsed:.6f}",
-                        f"{row.betas[0]:.10e}",
-                        f"{row.majorant_sq:.10e}",
-                        f"{row.efficiency:.10e}",
-                    ]
-                )
+        ctimes = itertools.accumulate(row.wall_time for row in report.trace)
+        rows = [
+            [row.iteration, f"{ctime:.6f}", f"{row.betas[0]:.10e}"]
+            + [f"{row.majorant_sq:.10e}", f"{row.efficiency:.10e}"]
+            for row, ctime in zip(report.trace, ctimes)
+        ]
+        header = ["iteration", "ctime", "beta", "majorant_sq", "i_eff"]
+        _write_csv(out_dir / f"table_forward_k{k}.csv", header, rows)
 
 
 def _write_ocp_tables(out_dir, cases):
-    modes = len(cases[0].reports)
-    for k in range(modes):
-        path = out_dir / f"table_ocp_k{k}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["alpha", "ctime", "majorant_sq", "i_eff"])
-            for case in cases:
-                report = case.reports[k]
-                ctime = sum(row.wall_time for row in report.trace)
-                writer.writerow(
-                    [
-                        f"{case.alpha:.6g}",
-                        f"{ctime:.6f}",
-                        f"{report.majorant_sq:.10e}",
-                        f"{report.efficiency:.10e}",
-                    ]
-                )
+    for k in range(len(cases[0].reports)):
+        rows = []
+        for case in cases:
+            report = case.reports[k]
+            ctime = sum(row.wall_time for row in report.trace)
+            rows.append(
+                [f"{case.alpha:.6g}", f"{ctime:.6f}"]
+                + [f"{report.majorant_sq:.10e}", f"{report.efficiency:.10e}"]
+            )
+        header = ["alpha", "ctime", "majorant_sq", "i_eff"]
+        _write_csv(out_dir / f"table_ocp_k{k}.csv", header, rows)
 
 
 def _error_entry(breakdown):
@@ -413,6 +415,7 @@ def _report_entry(report):
         "converged": bool(report.converged),
         "pcg_steps": report.pcg_steps,
         "direct_solves": report.direct_solves,
+        "form_gap": float(report.form_gap),
         "tail": float(report.tail),
         "residual_sums": {k: float(v) for k, v in report.residual_sums.items()},
     }
@@ -444,14 +447,7 @@ def _write_report(out_dir, config, problem, cases):
     report = {
         "problem": problem,
         "config": dataclasses.asdict(config),
-        "constants": [
-            {
-                "lower": float(c.lower),
-                "upper": float(c.upper),
-                "friedrichs": float(c.friedrichs),
-            }
-            for c in (case.constants for case in cases)
-        ],
+        "constants": [dataclasses.asdict(case.constants) for case in cases],
         "cases": [_case_entry(case) for case in cases],
         "bound_satisfied": all(case.bound_ok() for case in cases),
     }
@@ -627,6 +623,25 @@ def _check_friedrichs_eigenvalue():
     )
 
 
+def _check_residual_forms():
+    # the quadratic forms that steer the majorant iterations against the
+    # quadrature of the reported bound, on random fields and fluxes
+    bench = build_benchmark("ocp", 2, 1, alpha=0.5)
+    mesh, co, period = bench.mesh, bench.coefficients, bench.period
+    ws = FluxWorkspace.from_mesh(mesh, co)
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for k in (0, 1):
+        eta, zeta, tau, rho = rng.standard_normal((4, 2, mesh.num_edges))
+        f = mode_evaluators(bench)(k)
+        quadrature = residuals_forward(mesh, co, period, k, eta, tau, f)
+        quadrature += residuals_ocp(mesh, co, period, k, eta, zeta, tau, rho, f, 0.5)
+        forms = residual_forms(ws, period, k, eta, (tau,), f)
+        forms += residual_forms(ws, period, k, eta, (tau, rho), f, zeta, 0.5)
+        worst = max(worst, *(abs(a - b) / b for a, b in zip(forms, quadrature)))
+    return ("residual forms", worst <= 1e-10, f"max relative gap {worst:.2e}")
+
+
 def _check_guaranteed_bound(config):
     quick = RunConfig(
         mesh_n=2,
@@ -635,7 +650,10 @@ def _check_guaranteed_bound(config):
         minres_tol=config.minres_tol,
         minres_maxit=config.minres_maxit,
     )
-    _, (case,) = _sweep("forward", quick)
+    try:
+        _, (case,) = _sweep("forward", quick)
+    except ConfigError as exc:
+        return ("guaranteed bound", False, str(exc))
     lowest = min(r.efficiency for r in case.reports + [case.total])
     return (
         "guaranteed bound",
@@ -652,6 +670,7 @@ def run_verify(config):
         _check_fourier(),
         _check_dense_agreement(),
         _check_friedrichs_eigenvalue(),
+        _check_residual_forms(),
         _check_guaranteed_bound(config),
     ]
     width = max(len(name) for name, _, _ in checks)

@@ -47,6 +47,12 @@ from eddymh.systems import SPD_SPLU
 BETA_MIN = 1e-8
 BETA_MAX = 1e8
 
+_KEYS = ("r1", "r2", "r3", "r4")  # residual sums; forward runs leave r3, r4 zero
+
+# The majorant stop accepts a change within FORM_NOISE epsilons of the bound
+# on its quadratic forms' term magnitudes: the forms' rounding noise.
+FORM_NOISE = 4.0
+
 # PCG off the shared factor serves flux matrices whose ratio a / b lies
 # within a factor FLUX_BAND of the factor's (the preconditioned spectrum
 # then lies in [1 / FLUX_BAND, FLUX_BAND]); each column stops at PCG_RTOL.
@@ -118,20 +124,32 @@ def stability_constants(problem, quantity, coefficients, alpha=None, friedrichs=
     return StabilityConstants(lower, upper, cf)
 
 
-def _curl_at_points(mesh, coef):
-    return fe_curls(mesh, coef)[:, None, :]
-
-
 def _analytic_at_points(mesh, f):
     bd = basis_data(mesh)
     nt, nq = bd.points.shape[:2]
     return np.asarray(f(bd.points.reshape(-1, 3))).reshape(nt, nq, 3)
 
 
-def _pair_residuals(mesh, coefficients, kw, field, flux, load):
-    # squared equation residual and flux defect of one pair, summed over
-    # the members of ``load`` (its point values, one per member: the
-    # cosine alone for the mean mode, else cosine and sine)
+def _pair_points(mesh, period, k, eta, zeta, load, alpha):
+    # The pairs of mode k as (kw, field, load point values, generated one
+    # member at a time): forward if zeta is None, else state and adjoint.
+    m = 1 if k == 0 else 2
+    kw = k * period.omega
+    if zeta is None:
+        return [(kw, eta, (_analytic_at_points(mesh, f) for f in load[:m]))]
+    state = (-fe_values(mesh, z) / alpha for z in zeta[:m])
+    adjoint = (
+        fe_values(mesh, e) - _analytic_at_points(mesh, y)
+        for e, y in zip(eta[:m], load[:m])
+    )
+    return [(kw, eta, state), (-kw, zeta, adjoint)]
+
+
+def _pair_residuals(mesh, coefficients, kw, field, load, flux):
+    # squared equation residual and flux defect of one pair by quadrature,
+    # summed over the members of ``load`` (its point values, one per
+    # member: the cosine alone for the mean mode, else cosine and sine);
+    # flux None stands for the zero flux
     sig = coefficients.sigma[:, None, None]
     nu = coefficients.nu[:, None, None]
     eq = 0.0
@@ -139,10 +157,12 @@ def _pair_residuals(mesh, coefficients, kw, field, flux, load):
     for i, g in enumerate(load):
         if kw:
             g = g + (2 * i - 1) * kw * sig * fe_values(mesh, field[1 - i])
-        eq += integrate_squared(mesh, g - _curl_at_points(mesh, flux[i]))
-        defect += integrate_squared(
-            mesh, fe_values(mesh, flux[i]) - nu * _curl_at_points(mesh, field[i])
-        )
+        d = nu * fe_curls(mesh, field[i])[:, None, :]
+        if flux is not None:
+            g = g - fe_curls(mesh, flux[i])[:, None, :]
+            d = fe_values(mesh, flux[i]) - d
+        eq += integrate_squared(mesh, g)
+        defect += integrate_squared(mesh, np.broadcast_to(d, g.shape))
     return eq, defect
 
 
@@ -162,8 +182,8 @@ def residuals_forward(mesh, coefficients, period, k, eta, tau, load):
     Cosine and sine contributions are summed; all integrals use the
     degree-5 rule, exact for the discrete parts.
     """
-    members = (_analytic_at_points(mesh, f) for f in load[: 1 if k == 0 else 2])
-    return _pair_residuals(mesh, coefficients, k * period.omega, eta, tau, members)
+    (pair,) = _pair_points(mesh, period, k, eta, None, load, None)
+    return _pair_residuals(mesh, coefficients, *pair, tau)
 
 
 def residuals_ocp(mesh, coefficients, period, k, eta, zeta, tau, rho, desired, alpha):
@@ -180,15 +200,9 @@ def residuals_ocp(mesh, coefficients, period, k, eta, zeta, tau, rho, desired, a
     pair's are R1 and R4.
     ``desired`` is the (cos, sin) evaluator pair of the target's mode.
     """
-    m = 1 if k == 0 else 2
-    kw = k * period.omega
-    state = (-fe_values(mesh, z) / alpha for z in zeta[:m])
-    adjoint = (
-        fe_values(mesh, e) - _analytic_at_points(mesh, y)
-        for e, y in zip(eta[:m], desired[:m])
-    )
-    r3, r2 = _pair_residuals(mesh, coefficients, kw, eta, tau, state)
-    r1, r4 = _pair_residuals(mesh, coefficients, -kw, zeta, rho, adjoint)
+    state, adjoint = _pair_points(mesh, period, k, eta, zeta, desired, alpha)
+    r3, r2 = _pair_residuals(mesh, coefficients, *state, tau)
+    r1, r4 = _pair_residuals(mesh, coefficients, *adjoint, rho)
     return r1, r2, r3, r4
 
 
@@ -352,15 +366,8 @@ class FluxWorkspace:
         pair_sigma = assemble_cross(mesh, coefficients.sigma)
         pair_nu = assemble_cross(mesh, coefficients.nu)
         pair_one = assemble_cross(mesh, np.ones(mesh.num_tets))
-        return cls(
-            mesh=mesh,
-            coefficients=coefficients,
-            stiffness=stiffness,
-            mass=mass,
-            pair_sigma_t=pair_sigma.T.tocsr(),
-            pair_nu=pair_nu,
-            pair_one_t=pair_one.T.tocsr(),
-        )
+        pair_sigma_t, pair_one_t = pair_sigma.T.tocsr(), pair_one.T.tocsr()
+        return cls(mesh, coefficients, stiffness, mass, pair_sigma_t, pair_nu, pair_one_t)
 
     def solve(self, curl_weight, mass_weight, rhs_list, anchor, counts):
         """Solutions of (curl_weight K + mass_weight M) x = r, one per r.
@@ -392,51 +399,81 @@ class FluxWorkspace:
 
 
 def _pairs(ws, period, kind, modes, alpha):
-    # Every pair of every mode as (kw, field, curl load), laid out
-    # pairs[p][j] for pair p (forward or state, then adjoint) of mode j.
-    # A curl load holds, per member, the load g tested against the curl
-    # of every edge basis function; fixed over a minimization, so built once.
+    # Every pair of every mode as its flux-independent terms, laid out
+    # pairs[p][j] for pair p (forward or state, then adjoint) of mode j:
+    # per member b_eq (the load plus coupling G, tested against every
+    # basis curl) and b_def = C_nu phi, then the pair's residuals at zero
+    # flux, |G|^2 and |nu curl phi|^2, by one streamed quadrature.
     one = ws.pair_one_t
     pairs = ([], [])
     for k, eta, zeta, f in modes:
-        kw = k * period.omega
         data = [assemble_curl_load(ws.mesh, None, g) for g in f[: 1 if k == 0 else 2]]
+        loads = [data]
         if kind == "ocp":
-            pairs[1].append((-kw, zeta, [one @ e - c for e, c in zip(eta, data)]))
-            data = [-(one @ z) / alpha for z in zeta[: len(data)]]
-        pairs[0].append((kw, eta, data))
+            state = [-(one @ z) / alpha for z in zeta[: len(data)]]
+            loads = [state, [one @ e - c for e, c in zip(eta, data)]]
+        points = _pair_points(ws.mesh, period, k, eta, zeta, f, alpha)
+        for p, (curl_load, (kw, phi, members)) in enumerate(zip(loads, points)):
+            b_eq = [
+                g + (2 * i - 1) * kw * (ws.pair_sigma_t @ phi[1 - i]) if kw else g
+                for i, g in enumerate(curl_load)
+            ]
+            b_def = [ws.pair_nu @ c for c in phi[: len(b_eq)]]
+            zero = _pair_residuals(ws.mesh, ws.coefficients, kw, phi, members, None)
+            pairs[p].append((b_eq, b_def, *zero))
     return list(pairs) if kind == "ocp" else [pairs[0]]
 
 
-def _pair_rhs(ws, kw, field, curl_load, w_eq, w_def):
-    # normal equations of w_eq |g - sigma d/dt phi - curl t|^2 +
-    # w_def |t - nu curl phi|^2 in the flux t, one per member
-    rhs = []
-    for i, g in enumerate(curl_load):
-        if kw:
-            g = g + (2 * i - 1) * kw * (ws.pair_sigma_t @ field[1 - i])
-        rhs.append(w_eq * g + w_def * (ws.pair_nu @ field[i]))
-    return rhs
+def _form_sums(ws, pairs, fluxes, time_weights):
+    # Residual sums keyed like MajorantReport.residual_sums from each pair's
+    # quadratic forms in its flux t, |G|^2 - 2 b_eq.t + t'K t and
+    # t'M t - 2 b_def.t + |nu curl phi|^2 (clamped at zero; K and M are
+    # exact for Nedelec fields), weighted by time_weights[j] for mode j;
+    # then the same sums of the forms' term magnitudes.
+    keys = [("r1", "r2")] if len(pairs) == 1 else [("r3", "r2"), ("r1", "r4")]
+    sums, scales = dict.fromkeys(_KEYS, 0.0), dict.fromkeys(_KEYS, 0.0)
+    for pair_keys, pair, flux in zip(keys, pairs, fluxes):
+        for (b_eq, b_def, *zero), t, w in zip(pair, flux, time_weights):
+            forms, magnitudes = list(zero), list(zero)
+            for x, g, d in zip(t, b_eq, b_def):
+                for j, (a, b) in enumerate(((ws.stiffness, g), (ws.mass, d))):
+                    square, cross = x @ (a @ x), 2.0 * (b @ x)
+                    forms[j] += square - cross
+                    magnitudes[j] += square + abs(cross)
+            for key, form, magnitude in zip(pair_keys, forms, magnitudes):
+                sums[key] += w * max(form, 0.0)
+                scales[key] += w * magnitude
+    return sums, scales
+
+
+def residual_forms(workspace, period, k, eta, fluxes, load, zeta=None, alpha=None):
+    """``residuals_forward`` (fluxes = (tau,)) or, given zeta and alpha,
+    ``residuals_ocp`` (fluxes = (tau, rho)) from the quadratic forms that
+    steer minimize_majorant, equal to them up to rounding."""
+    kind = "forward" if zeta is None else "ocp"
+    pairs = _pairs(workspace, period, kind, [(k, eta, zeta, load)], alpha)
+    sums, _ = _form_sums(workspace, pairs, [[t] for t in fluxes], [1.0])
+    return tuple(sums[key] for key in _KEYS[: 2 * len(pairs)])
 
 
 def _flux_step(ws, pairs, weights, cf, counts):
     # Fluxes laid out as ``pairs``, each a (cos, sin) tuple, a 1-tuple
     # for the mean mode, whose sine member the residuals ignore.  Pair p
-    # takes one multi-column solve with its Young weights weights[p] =
-    # (w_eq, w_def); without weights (iteration 1), one mass solve
-    # projects nu curl (field) for every pair.
+    # takes one multi-column solve of the normal equations of
+    # w_eq |G - curl t|^2 + w_def |t - nu curl phi|^2, with its Young
+    # weights weights[p] = (w_eq, w_def); without weights (iteration 1),
+    # one mass solve projects nu curl (field) for every pair.
     if weights is None:
-        rhs = [ws.pair_nu @ c for p in pairs for _, phi, g in p for c in phi[: len(g)]]
-        solves = [(0.0, 1.0, rhs)]
+        solves = [(0.0, 1.0, [d for pair in pairs for terms in pair for d in terms[1]])]
     else:
         solves = [
-            (w_eq, w_def, [r for p in pair for r in _pair_rhs(ws, *p, w_eq, w_def)])
+            (w_eq, w_def, [w_eq * g + w_def * d for terms in pair for g, d in zip(*terms[:2])])
             for pair, (w_eq, w_def) in zip(pairs, weights)
         ]
     solutions = iter([
         x for w_k, w_m, rhs in solves for x in ws.solve(w_k, w_m, rhs, cf * cf, counts)
     ])
-    return [[tuple(next(solutions) for _ in g) for _, _, g in pair] for pair in pairs]
+    return [[tuple(next(solutions) for _ in terms[0]) for terms in pair] for pair in pairs]
 
 
 @dataclass(eq=False)
@@ -465,6 +502,7 @@ class MajorantReport:
     converged: bool
     pcg_steps: int
     direct_solves: int
+    form_gap: float  # last quadratic-form bound against the reported, relative
     trace: list = field(default_factory=list)
 
 
@@ -502,8 +540,9 @@ def minimize_majorant(
     error_sq : float, optional
         Squared true error quantity; fills the efficiency columns.
     tol : absolute stop threshold on the decrease of the squared bound.
-        It is raised to four ulps of the current bound, so a bound too
-        large for ``tol`` to resolve stops once it only moves by rounding.
+        It is raised to four ulps of the current bound, and to FORM_NOISE
+        machine epsilons of the bound on the magnitudes of its terms, so
+        a bound that only moves by rounding stops.
 
     Returns a MajorantReport whose trace records, per iteration, the
     parameters in force during the flux solve and the bound they yield.
@@ -514,11 +553,12 @@ def minimize_majorant(
     bound does not increase beyond rounding.  Every mode in an iteration
     shares the flux matrix of each pair, so an iteration runs one
     multi-column solve per pair (the mass matrix of iteration 1 once
-    for all pairs): the right-hand sides of all modes are built first,
-    solved together, and the residuals evaluated last.  The report
-    counts the PCG steps and the one-shot factorizations those solves
-    took.  The pairs' curl loads do not change between iterations and
-    are built once per call.
+    for all pairs).  The report counts the PCG steps and the one-shot
+    factorizations those solves took.  The iterations are steered by the
+    residuals' quadratic forms in the fluxes, built once per call; as
+    those may cancel, the reported bound, its residual sums and the last
+    trace row are the quadrature of the last fluxes.  A Friedrichs
+    constant below the mesh's bounding box's raises ValueError.
     """
     if kind not in ("forward", "ocp"):
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -531,21 +571,30 @@ def minimize_majorant(
         raise ValueError("field truncation does not match the period's mode count")
     if mode is not None and not 0 <= mode <= period.N:
         raise ValueError(f"mode {mode} outside 0..{period.N}")
-    ws = workspace if workspace is not None else FluxWorkspace.from_mesh(mesh, coefficients)
     cf = constants.friedrichs
+    if cf < friedrichs_constant(np.ptp(mesh.vertices, axis=0)) * (1.0 - 1e-12):
+        raise ValueError(f"Friedrichs constant {cf!r} is below the domain's")
+    ws = workspace if workspace is not None else FluxWorkspace.from_mesh(mesh, coefficients)
     mode_list = list(range(period.N + 1)) if mode is None else [int(mode)]
-    weights = {k: period.T if k == 0 else 0.5 * period.T for k in mode_list}
+    time_weights = [period.T if k == 0 else 0.5 * period.T for k in mode_list]
     modes = [
         (k, state.mode(k), None if adjoint is None else adjoint.mode(k), loads(k))
         for k in mode_list
     ]
     pairs = _pairs(ws, period, kind, modes, alpha)
+
+    def bound(sums, betas):
+        if kind == "forward":
+            return majorant_forward(
+                sums["r1"], sums["r2"], constants, beta=betas[0], tail=tail
+            )
+        return majorant_ocp(*(sums[key] for key in _KEYS), constants, betas, tail=tail)
+
     betas = (1.0,) if kind == "forward" else (1.0, 1.0, 1.0)
     counts = {"pcg_steps": 0, "direct_solves": 0}
     trace = []
     converged = False
     previous = None
-    sums = {}
     for iteration in range(1, maxit + 1):
         start = time.perf_counter()
         if iteration == 1:
@@ -556,30 +605,15 @@ def minimize_majorant(
             w_r1, w_r2, w_r3, w_r4 = _ocp_weights(betas, cf)
             pair_weights = [(w_r3, w_r2), (w_r1, w_r4)]
         fluxes = _flux_step(ws, pairs, pair_weights, cf, counts)
-        sums = {key: 0.0 for key in ("r1", "r2", "r3", "r4")}
-        for (k, eta, zeta, f), *flux in zip(modes, *fluxes):
-            if kind == "forward":
-                res = residuals_forward(mesh, coefficients, period, k, eta, *flux, f)
-            else:
-                res = residuals_ocp(
-                    mesh, coefficients, period, k, eta, zeta, *flux, f, alpha
-                )
-            for key, r in zip(("r1", "r2", "r3", "r4"), res):
-                sums[key] += weights[k] * r
-        if kind == "forward":
-            value = majorant_forward(
-                sums["r1"], sums["r2"], constants, beta=betas[0], tail=tail
-            )
-        else:
-            value = majorant_ocp(
-                sums["r1"], sums["r2"], sums["r3"], sums["r4"], constants, betas, tail=tail
-            )
+        sums, scales = _form_sums(ws, pairs, fluxes, time_weights)
+        value = bound(sums, betas)
         eff = None if error_sq is None else efficiency_index(value, error_sq)
         trace.append(
             TraceRow(iteration, time.perf_counter() - start, betas, value, eff)
         )
+        noise = FORM_NOISE * np.finfo(float).eps * bound(scales, betas)
         if previous is not None and abs(previous - value) <= max(
-            tol, 4.0 * np.spacing(value)
+            tol, 4.0 * np.spacing(value), noise
         ):
             converged = True
             break
@@ -592,17 +626,31 @@ def minimize_majorant(
             betas = (beta_optimal(cf * cf * groups[0], groups[1]),)
         else:
             betas = beta_optimal_ocp(*groups, cf)
-    final = trace[-1]
+    start, final = time.perf_counter(), trace[-1]  # the bound by quadrature
+    sums = dict.fromkeys(_KEYS, 0.0)
+    for (k, eta, zeta, f), w, *flux in zip(modes, time_weights, *fluxes):
+        if kind == "forward":
+            res = residuals_forward(mesh, coefficients, period, k, eta, *flux, f)
+        else:
+            res = residuals_ocp(mesh, coefficients, period, k, eta, zeta, *flux, f, alpha)
+        for key, r in zip(_KEYS, res):
+            sums[key] += w * r
+    value = bound(sums, final.betas)
+    form_gap = abs(final.majorant_sq - value) / value if value else final.majorant_sq
+    final.majorant_sq = value
+    final.efficiency = None if error_sq is None else efficiency_index(value, error_sq)
+    final.wall_time += time.perf_counter() - start
     return MajorantReport(
         kind=kind,
         mode=mode,
         betas=final.betas,
-        residual_sums=dict(sums),
+        residual_sums=sums,
         tail=tail,
-        majorant_sq=final.majorant_sq,
+        majorant_sq=value,
         error_sq=error_sq,
         efficiency=final.efficiency,
         converged=converged,
+        form_gap=form_gap,
         trace=trace,
         **counts,
     )

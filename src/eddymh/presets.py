@@ -249,17 +249,8 @@ def build_benchmark(kind, n, N, alpha=None, T=2.0 * math.pi, preset="exp"):
     matrices = SystemMatrices.from_mesh(mesh, coefficients, dofmap)
     load_vector = assemble_load(mesh, dofmap, profile)
     return Benchmark(
-        kind=kind,
-        preset=preset,
-        mesh=mesh,
-        dofmap=dofmap,
-        coefficients=coefficients,
-        matrices=matrices,
-        period=period,
-        alpha=alpha,
-        data_modes=data_modes,
-        data_profile=data_profile,
-        load_vector=load_vector,
+        kind, preset, mesh, dofmap, coefficients, matrices, period, alpha,
+        data_modes, data_profile, load_vector,
     )
 
 
@@ -292,20 +283,12 @@ def solve_benchmark(bench, tol=1e-10, maxit=2000):
     modes = range(bench.period.N + 1)
     with ThreadPoolExecutor(max_workers=min(len(modes), _cores())) as pool:
         solved = list(pool.map(lambda k: _solve_one_mode(bench, k, tol, maxit), modes))
-    state = []
-    adjoint = []
-    for k, (parts, _) in zip(modes, solved):
-        if k == 0:
-            state.append(parts["y_c"])
-            if "p_c" in parts:
-                adjoint.append(parts["p_c"])
-        else:
-            state.append((parts["y_c"], parts["y_s"]))
-            if "p_c" in parts:
-                adjoint.append((parts["p_c"], parts["p_s"]))
-    fields = {"state": reconstruct(state, bench.period)}
-    if adjoint:
-        fields["adjoint"] = reconstruct(adjoint, bench.period)
+    fields = {}
+    for name, c, s in (("state", "y_c", "y_s"), ("adjoint", "p_c", "p_s")):
+        if c in solved[0][0]:
+            # the mean mode has no sine member
+            coeffs = [solved[0][0][c]] + [(p[c], p[s]) for p, _ in solved[1:]]
+            fields[name] = reconstruct(coeffs, bench.period)
     return fields, [st for _, st in solved]
 
 

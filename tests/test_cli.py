@@ -23,7 +23,8 @@ from eddymh.cli import (
     RunConfig,
     main,
 )
-from eddymh.estimator import FluxWorkspace
+from eddymh.estimator import FluxWorkspace, StabilityConstants
+from eddymh.harmonics import friedrichs_constant
 
 
 def _write_config(tmp_path, name="config.json", **fields):
@@ -370,11 +371,55 @@ def test_verify_flags_corrupted_friedrichs(tmp_path, capsys):
     assert "FAIL" in captured.out
 
 
-def test_bound_violation_exit_code(tmp_path):
-    # An undersized Friedrichs constant invalidates the bound, which the
-    # runner must report while still writing its outputs.
-    config = _write_config(tmp_path, mesh_n=2, truncation=1, friedrichs=1e-3)
+def test_bound_violation_exit_code(tmp_path, monkeypatch):
+    # An overstated lower stability constant invalidates the bound, which
+    # the runner must report while still writing its outputs.  (An
+    # undersized Friedrichs constant is refused as a configuration error.)
+    stability_constants = eddymh.cli.stability_constants
+
+    def overstated(*args, **kwargs):
+        c = stability_constants(*args, **kwargs)
+        return StabilityConstants(100.0 * c.lower, 100.0 * c.upper, c.friedrichs)
+
+    monkeypatch.setattr(eddymh.cli, "stability_constants", overstated)
+    config = _write_config(tmp_path, mesh_n=2, truncation=1)
     out = tmp_path / "out"
     assert main(["forward", "--config", config, "--out", str(out)]) == EXIT_BOUND
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["bound_satisfied"] is False
+
+
+@pytest.mark.parametrize("command", ["forward", "ocp"])
+def test_undersized_friedrichs_is_a_config_error(tmp_path, capsys, command):
+    # below the unit cube's constant the bound is not guaranteed
+    config = _write_config(tmp_path, mesh_n=1, truncation=1, friedrichs=0.01)
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert "friedrichs" in capsys.readouterr().err
+    assert not out.exists()
+    exact = _write_config(
+        tmp_path, name="exact.json", mesh_n=1, truncation=1,
+        friedrichs=friedrichs_constant(),
+    )
+    assert main([command, "--config", exact, "--out", str(out)]) == EXIT_OK
+
+
+def test_report_records_the_form_gap(tmp_path, capsys):
+    # each bound entry records the relative gap between the quadratic-form
+    # bound of its last iteration and the reported quadrature bound
+    config = _write_config(tmp_path, mesh_n=2, truncation=1)
+    out = tmp_path / "out"
+    assert main(["forward", "--config", config, "--out", str(out), "--verbose"]) == EXIT_OK
+    lines = [line for line in capsys.readouterr().out.splitlines() if "i_eff=" in line]
+    case = json.loads((out / "report.json").read_text(encoding="utf-8"))["cases"][0]
+    bounds = case["modes"] + [case["total"]]
+    assert len(lines) == len(bounds)
+    for line, bound in zip(lines, bounds):
+        assert 0.0 <= bound["form_gap"] <= 1e-12
+        assert f"form gap {bound['form_gap']:.1e}" in line
+
+
+def test_verify_lists_the_residual_forms_check(capsys):
+    assert main(["verify"]) == EXIT_OK
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["residual", "forms", "PASS"] in [row[:3] for row in rows]

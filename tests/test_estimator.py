@@ -19,11 +19,12 @@ from eddymh.estimator import (
     majorant_forward,
     majorant_ocp,
     minimize_majorant,
+    residual_forms,
     residuals_forward,
     residuals_ocp,
     stability_constants,
 )
-from eddymh.harmonics import FourierField, PeriodSpec, remainder
+from eddymh.harmonics import FourierField, PeriodSpec, friedrichs_constant, remainder
 from eddymh.mesh import LOCAL_EDGES, build_box_mesh
 from eddymh.presets import (
     PROFILE_NORM_SQ,
@@ -734,3 +735,134 @@ def test_majorant_stop_at_rounding_level():
     assert len(report.trace) < 50
     values = [row.majorant_sq for row in report.trace]
     assert all(b <= a * (1 + 1e-10) for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("kind", ["forward", "ocp"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_residual_forms_match_quadrature(kind, k):
+    # the quadratic forms that steer the majorant iterations give the
+    # quadrature's residuals for any fields and fluxes, with variable
+    # coefficients: the forward pair, and the state and adjoint pairs
+    mesh = build_box_mesh(2)
+    rng = np.random.default_rng(5)
+    co = Coefficients(
+        rng.uniform(0.5, 2.0, mesh.num_tets), rng.uniform(0.5, 2.0, mesh.num_tets)
+    )
+    ws = FluxWorkspace.from_mesh(mesh, co)
+    period = PeriodSpec(TWO_PI, 1)
+    eta, zeta, tau, rho = (
+        tuple(rng.standard_normal(mesh.num_edges) for _ in range(2)) for _ in range(4)
+    )
+
+    def fc(p):
+        return np.column_stack([np.sin(p[:, 0]), np.cos(p[:, 1]), p[:, 2] ** 2])
+
+    def fs(p):
+        return np.column_stack([p[:, 1], np.exp(-p[:, 0]), np.sin(3 * p[:, 2])])
+
+    if kind == "forward":
+        quadrature = residuals_forward(mesh, co, period, k, eta, tau, (fc, fs))
+        forms = residual_forms(ws, period, k, eta, (tau,), (fc, fs))
+    else:
+        quadrature = residuals_ocp(
+            mesh, co, period, k, eta, zeta, tau, rho, (fc, fs), 0.7
+        )
+        forms = residual_forms(ws, period, k, eta, (tau, rho), (fc, fs), zeta, 0.7)
+    assert len(forms) == len(quadrature)
+    np.testing.assert_allclose(forms, quadrature, rtol=1e-10)
+
+
+@pytest.mark.parametrize("kind, alpha", [("forward", None), ("ocp", 0.5)])
+def test_reported_bound_is_the_quadrature_of_the_final_fluxes(monkeypatch, kind, alpha):
+    # the iterations run on the quadratic forms; the reported bound, its
+    # residual sums and the last trace row are the quadrature of the last
+    # flux step's fluxes, whatever the forms gave
+    steps = []
+    flux_step = estimator._flux_step
+    monkeypatch.setattr(
+        estimator, "_flux_step", lambda *args: steps.append(flux_step(*args)) or steps[-1]
+    )
+    report = _majorant(kind, 2, 1, alpha=alpha, error_sq=1.0)
+    assert len(steps) == len(report.trace)
+    bench = build_benchmark(kind, 2, 1, alpha=alpha)
+    fields, _ = solve_benchmark(bench)
+    state = full_field(bench.dofmap, fields["state"])
+    adjoint = None if kind == "forward" else full_field(bench.dofmap, fields["adjoint"])
+    period, loads = bench.period, mode_evaluators(bench)
+    sums = dict.fromkeys(("r1", "r2", "r3", "r4"), 0.0)
+    for k, *flux in zip(range(period.N + 1), *steps[-1]):
+        w = period.T if k == 0 else 0.5 * period.T
+        if kind == "forward":
+            res = residuals_forward(
+                bench.mesh, bench.coefficients, period, k, state.mode(k), *flux, loads(k)
+            )
+        else:
+            res = residuals_ocp(
+                bench.mesh, bench.coefficients, period, k, state.mode(k),
+                adjoint.mode(k), *flux, loads(k), alpha,
+            )
+        for key, r in zip(sums, res):
+            sums[key] += w * r
+    consts = stability_constants(kind, "seminorm", bench.coefficients, alpha=alpha)
+    tail = remainder(bench.data_profile, PROFILE_NORM_SQ, period)
+    if kind == "forward":
+        value = majorant_forward(
+            sums["r1"], sums["r2"], consts, beta=report.betas[0], tail=tail
+        )
+    else:
+        value = majorant_ocp(*sums.values(), consts, report.betas, tail=tail)
+    assert report.residual_sums == sums
+    assert report.majorant_sq == value == report.trace[-1].majorant_sq
+    assert report.efficiency == value == report.trace[-1].efficiency
+    assert report.betas == report.trace[-1].betas
+    assert 0.0 <= report.form_gap <= 1e-12
+
+
+def test_low_alpha_iterations_stop_at_the_form_noise():
+    # At this alpha every squared bound is about 1e12 and settles within
+    # a few iterations; from there the forms' rounding noise, about 1e-14
+    # of the bound, exceeds its 4-ulp floor and must stop the loop rather
+    # than run on (10, 7, 10 and 12 iterations without the noise term).
+    alpha = 10.0**-1.9375
+    bench = build_benchmark("ocp", 6, 2, alpha=alpha)
+    fields, _ = solve_benchmark(bench)
+    state = full_field(bench.dofmap, fields["state"])
+    adjoint = full_field(bench.dofmap, fields["adjoint"])
+    consts = stability_constants("ocp", "seminorm", bench.coefficients, alpha=alpha)
+    tail = remainder(bench.data_profile, PROFILE_NORM_SQ, bench.period)
+    ws = FluxWorkspace.from_mesh(bench.mesh, bench.coefficients)
+    parts = [{"mode": 0}, {"mode": 1}, {"mode": 2}, {"tail": tail}]
+    for part, most in zip(parts, (8, 7, 8, 7)):
+        report = minimize_majorant(
+            bench.mesh, bench.coefficients, bench.period, "ocp", state,
+            mode_evaluators(bench), consts, adjoint=adjoint, alpha=alpha,
+            workspace=ws, **part,
+        )
+        assert report.converged
+        assert len(report.trace) <= most
+        assert report.form_gap <= 1e-13
+
+
+def test_friedrichs_constant_below_the_domain_is_refused():
+    # the default constant is the unit cube's; on a larger box it
+    # understates the domain's, and the bound would not be guaranteed
+    mesh = build_box_mesh(2, box=(2.0, 2.0, 2.0))
+    co = unit_coeffs(mesh)
+    period = PeriodSpec(TWO_PI, 1)
+    rng = np.random.default_rng(3)
+    zero = np.zeros(mesh.num_edges)
+    state = FourierField(
+        rng.standard_normal(mesh.num_edges), [(rng.standard_normal(mesh.num_edges), zero)]
+    )
+
+    def loads(k):
+        return (lambda p: np.ones_like(p), lambda p: p)
+
+    default = stability_constants("forward", "seminorm", co)
+    with pytest.raises(ValueError, match="Friedrichs"):
+        minimize_majorant(mesh, co, period, "forward", state, loads, default)
+    own = stability_constants(
+        "forward", "seminorm", co, friedrichs=friedrichs_constant((2.0, 2.0, 2.0))
+    )
+    report = minimize_majorant(mesh, co, period, "forward", state, loads, own)
+    assert report.converged and report.majorant_sq > 0.0
