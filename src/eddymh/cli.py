@@ -65,6 +65,8 @@ BOUND_SLACK = 1e-6
 
 # Largest accepted mesh_n (6 n^3 tets); see the README for its footprint.
 MAX_MESH_N = 32
+# Largest accepted truncation N; see the README for its footprint.
+MAX_TRUNCATION = 64
 
 _PRESETS = {
     "paper-forward": ("forward", "exp"),
@@ -160,6 +162,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer >= {least}")
         if self.mesh_n > MAX_MESH_N:
             raise ConfigError(f"mesh_n must be at most {MAX_MESH_N}")
+        if self.truncation > MAX_TRUNCATION:
+            raise ConfigError(f"truncation must be at most {MAX_TRUNCATION}")
         for name in ("period", "sigma", "nu", "minres_tol", "majorant_tol"):
             if not _is_positive_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite positive number")

@@ -225,12 +225,12 @@ def assemble(mesh, coefficients, kind, dofmap=None):
     return _scatter(mesh, local, dofmap)
 
 
-def assemble_cross(mesh, weight, dofmap=None):
-    """Pairing matrix C[i, j] = int w phi_i . curl phi_j (not symmetric)."""
+def assemble_cross(mesh, weight):
+    """Pairing matrix C[i, j] = int w phi_i . curl phi_j on all edges."""
     bd = basis_data(mesh)
     w = np.broadcast_to(np.asarray(weight, dtype=float), (mesh.num_tets,))
     local = np.einsum("t,tei,tfi->tef", w * bd.vols, bd.phibar, bd.curl)
-    return _scatter(mesh, local, dofmap)
+    return _scatter(mesh, local, None)
 
 
 def assemble_load(mesh, dofmap, f):
@@ -247,16 +247,17 @@ def assemble_load(mesh, dofmap, f):
     return full[dofmap.free] if dofmap is not None else full
 
 
-def assemble_curl_load(mesh, dofmap, f):
-    """Load vector (f, curl phi_e) using the degree-5 rule."""
+def assemble_curl_load(mesh, values):
+    """Load vector (f, curl phi_e) on all edges by the degree-5 rule.
+
+    ``values`` holds f sampled like ``fe_values``, shape (nt, nq, 3).
+    """
     bd = basis_data(mesh)
-    nt, nq = bd.points.shape[:2]
-    F = np.asarray(f(bd.points.reshape(-1, 3))).reshape(nt, nq, 3)
-    Fint = np.einsum("q,tqi->ti", TET_P5_WEIGHTS, F) * (6.0 * bd.vols)[:, None]
+    Fint = np.einsum("q,tqi->ti", TET_P5_WEIGHTS, values) * (6.0 * bd.vols)[:, None]
     L = np.einsum("tei,ti->te", bd.curl, Fint)
     full = np.zeros(mesh.num_edges)
     np.add.at(full, mesh.tet_edges, L)
-    return full[dofmap.free] if dofmap is not None else full
+    return full
 
 
 def fe_values(mesh, coef):

@@ -15,7 +15,8 @@ and its load g, with the equation residual g - sigma d/dt phi - curl t
 flux defect t - nu curl phi.  The forward problem is one pair (eta, tau,
 the data); the control problem two: the state (eta, tau, -zeta / alpha)
 and the adjoint (zeta, rho, eta - y_d), which runs backwards in time
-(kw -> -kw).  One residual kernel and one flux step serve every pair.
+(kw -> -kw).  Each pair is defined once, by point values that both the
+quadrature and the quadratic forms read; one flux step serves them all.
 
 As any flux gives a valid bound, an inexact flux solve can only make it
 less sharp, never wrong: every flux matrix ``a K + b M`` is solved by
@@ -48,6 +49,10 @@ BETA_MIN = 1e-8
 BETA_MAX = 1e8
 
 _KEYS = ("r1", "r2", "r3", "r4")  # residual sums; forward runs leave r3, r4 zero
+
+# The keys each pair's (equation residual, flux defect) feed: the forward
+# pair; the state pair (its equation residual is -R3) and the adjoint pair.
+_PAIR_KEYS = {"forward": (("r1", "r2"),), "ocp": (("r3", "r2"), ("r1", "r4"))}
 
 # The majorant stop accepts a change within FORM_NOISE epsilons of the bound
 # on its quadratic forms' term magnitudes: the forms' rounding noise.
@@ -124,45 +129,43 @@ def stability_constants(problem, quantity, coefficients, alpha=None, friedrichs=
     return StabilityConstants(lower, upper, cf)
 
 
-def _analytic_at_points(mesh, f):
-    bd = basis_data(mesh)
-    nt, nq = bd.points.shape[:2]
-    return np.asarray(f(bd.points.reshape(-1, 3))).reshape(nt, nq, 3)
+def _point_values(mesh, f):
+    points = basis_data(mesh).points
+    return np.asarray(f(points.reshape(-1, 3))).reshape(points.shape)
 
 
-def _pair_points(mesh, period, k, eta, zeta, load, alpha):
-    # The pairs of mode k as (kw, field, load point values, generated one
-    # member at a time): forward if zeta is None, else state and adjoint.
-    m = 1 if k == 0 else 2
+def _pair_points(mesh, coefficients, period, k, eta, zeta, load, alpha):
+    # The pairs of mode k, laid out like _PAIR_KEYS: forward if zeta is
+    # None, else state and adjoint.  Each yields per member i (the cosine
+    # alone for the mean mode, else cosine and sine; one member's point
+    # values live at a time) the field phi_i, the load plus coupling
+    # G = g_i + (2i - 1) kw sigma phi_(1-i) at the degree-5 points and
+    # nu curl phi_i per tet.
+    sig = coefficients.sigma[:, None, None]
+
+    def members(kw, field, load):
+        for i in range(1 if k == 0 else 2):
+            g = load(i)
+            if kw:
+                g = g + (2 * i - 1) * kw * sig * fe_values(mesh, field[1 - i])
+            yield field[i], g, coefficients.nu[:, None] * fe_curls(mesh, field[i])
+
     kw = k * period.omega
     if zeta is None:
-        return [(kw, eta, (_analytic_at_points(mesh, f) for f in load[:m]))]
-    state = (-fe_values(mesh, z) / alpha for z in zeta[:m])
-    adjoint = (
-        fe_values(mesh, e) - _analytic_at_points(mesh, y)
-        for e, y in zip(eta[:m], load[:m])
-    )
-    return [(kw, eta, state), (-kw, zeta, adjoint)]
+        return [members(kw, eta, lambda i: _point_values(mesh, load[i]))]
+    return [
+        members(kw, eta, lambda i: -fe_values(mesh, zeta[i]) / alpha),
+        members(-kw, zeta, lambda i: fe_values(mesh, eta[i]) - _point_values(mesh, load[i])),
+    ]
 
 
-def _pair_residuals(mesh, coefficients, kw, field, load, flux):
-    # squared equation residual and flux defect of one pair by quadrature,
-    # summed over the members of ``load`` (its point values, one per
-    # member: the cosine alone for the mean mode, else cosine and sine);
-    # flux None stands for the zero flux
-    sig = coefficients.sigma[:, None, None]
-    nu = coefficients.nu[:, None, None]
-    eq = 0.0
-    defect = 0.0
-    for i, g in enumerate(load):
-        if kw:
-            g = g + (2 * i - 1) * kw * sig * fe_values(mesh, field[1 - i])
-        d = nu * fe_curls(mesh, field[i])[:, None, :]
-        if flux is not None:
-            g = g - fe_curls(mesh, flux[i])[:, None, :]
-            d = fe_values(mesh, flux[i]) - d
-        eq += integrate_squared(mesh, g)
-        defect += integrate_squared(mesh, np.broadcast_to(d, g.shape))
+def _pair_residuals(mesh, members, flux):
+    # squared equation residual |G - curl t|^2 and flux defect
+    # |t - nu curl phi|^2 of one pair by quadrature, summed over members
+    eq = defect = 0.0
+    for (_, g, d), t in zip(members, flux):
+        eq += integrate_squared(mesh, g - fe_curls(mesh, t)[:, None, :])
+        defect += integrate_squared(mesh, fe_values(mesh, t) - d[:, None, :])
     return eq, defect
 
 
@@ -182,8 +185,8 @@ def residuals_forward(mesh, coefficients, period, k, eta, tau, load):
     Cosine and sine contributions are summed; all integrals use the
     degree-5 rule, exact for the discrete parts.
     """
-    (pair,) = _pair_points(mesh, period, k, eta, None, load, None)
-    return _pair_residuals(mesh, coefficients, *pair, tau)
+    (members,) = _pair_points(mesh, coefficients, period, k, eta, None, load, None)
+    return _pair_residuals(mesh, members, tau)
 
 
 def residuals_ocp(mesh, coefficients, period, k, eta, zeta, tau, rho, desired, alpha):
@@ -200,27 +203,26 @@ def residuals_ocp(mesh, coefficients, period, k, eta, zeta, tau, rho, desired, a
     pair's are R1 and R4.
     ``desired`` is the (cos, sin) evaluator pair of the target's mode.
     """
-    state, adjoint = _pair_points(mesh, period, k, eta, zeta, desired, alpha)
-    r3, r2 = _pair_residuals(mesh, coefficients, *state, tau)
-    r1, r4 = _pair_residuals(mesh, coefficients, *adjoint, rho)
-    return r1, r2, r3, r4
+    pairs = _pair_points(mesh, coefficients, period, k, eta, zeta, desired, alpha)
+    sums = {}
+    for keys, members, flux in zip(_PAIR_KEYS["ocp"], pairs, (tau, rho)):
+        sums.update(zip(keys, _pair_residuals(mesh, members, flux)))
+    return tuple(sums[key] for key in _KEYS)
 
 
-def _forward_weights(beta, cf):
-    # weights of the equation residual (with the tail) and the flux defect
-    return cf * cf * (1.0 + beta), (1.0 + beta) / beta
-
-
-def _ocp_weights(betas, cf):
-    # weights of R1 (with the tail), R2, R3 and R4 in the ocp bound
-    b1, b2, b3 = betas
+def _weights(betas, cf):
+    # the bound's weight of each residual key (R1's also weighs the tail)
+    # at the forward beta or the ocp (beta1, beta2, beta3)
     cf2 = cf * cf
-    return (
-        cf2 * (1.0 + b1) * (1.0 + b2),
-        (1.0 + b1) * (1.0 + b2) / b2,
-        cf2 * (1.0 + b1) * (1.0 + b3) / b1,
-        (1.0 + b1) * (1.0 + b3) / (b1 * b3),
-    )
+    if len(betas) == 1:
+        return {"r1": cf2 * (1.0 + betas[0]), "r2": (1.0 + betas[0]) / betas[0]}
+    b1, b2, b3 = betas
+    return {
+        "r1": cf2 * (1.0 + b1) * (1.0 + b2),
+        "r2": (1.0 + b1) * (1.0 + b2) / b2,
+        "r3": cf2 * (1.0 + b1) * (1.0 + b3) / b1,
+        "r4": (1.0 + b1) * (1.0 + b3) / (b1 * b3),
+    }
 
 
 def majorant_forward(r1_sq, r2_sq, constants, beta, tail=0.0):
@@ -232,8 +234,8 @@ def majorant_forward(r1_sq, r2_sq, constants, beta, tail=0.0):
         raise ValueError("residual norms must be nonnegative")
     if not beta > 0.0:
         raise ValueError("beta must be positive")
-    w_a, w_b = _forward_weights(beta, constants.friedrichs)
-    return (w_a * (r1_sq + tail) + w_b * r2_sq) / constants.lower**2
+    w = _weights((beta,), constants.friedrichs)
+    return (w["r1"] * (r1_sq + tail) + w["r2"] * r2_sq) / constants.lower**2
 
 
 def majorant_ocp(r1_sq, r2_sq, r3_sq, r4_sq, constants, betas, tail=0.0):
@@ -248,8 +250,8 @@ def majorant_ocp(r1_sq, r2_sq, r3_sq, r4_sq, constants, betas, tail=0.0):
     b1, b2, b3 = betas
     if not (b1 > 0.0 and b2 > 0.0 and b3 > 0.0):
         raise ValueError("Young parameters must be positive")
-    w_r1, w_r2, w_r3, w_r4 = _ocp_weights(betas, constants.friedrichs)
-    val = w_r1 * (r1_sq + tail) + w_r3 * r3_sq + w_r2 * r2_sq + w_r4 * r4_sq
+    w = _weights(betas, constants.friedrichs)
+    val = w["r1"] * (r1_sq + tail) + w["r3"] * r3_sq + w["r2"] * r2_sq + w["r4"] * r4_sq
     return val / constants.lower**2
 
 
@@ -341,8 +343,8 @@ class FluxWorkspace:
     """Unconstrained-edge-space operators shared by all flux solves.
 
     The flux fields carry no boundary condition, so every matrix lives
-    on the full edge set: unit-weight curl-curl and mass, plus the
-    pairings C_w[i, j] = int w phi_i . curl phi_j for w = sigma, nu, 1.
+    on the full edge set: unit-weight curl-curl K and mass M, and
+    C_nu[i, j] = int nu phi_i . curl phi_j for the flux-defect terms.
     The workspace keeps one factor, of ``anchor K + M``, built by the
     first solve that needs it (under a lock, so concurrent minimizations
     share it) and replaced only by a solve with another anchor.
@@ -352,9 +354,7 @@ class FluxWorkspace:
     coefficients: Coefficients
     stiffness: object
     mass: object
-    pair_sigma_t: object
     pair_nu: object
-    pair_one_t: object
     _factor: tuple = field(default=None, init=False, repr=False)
     _lock: object = field(default_factory=threading.Lock, init=False, repr=False)
 
@@ -363,11 +363,8 @@ class FluxWorkspace:
         unit = Coefficients.constant(mesh)
         stiffness = assemble(mesh, unit, "stiffness")
         mass = assemble(mesh, unit, "mass")
-        pair_sigma = assemble_cross(mesh, coefficients.sigma)
         pair_nu = assemble_cross(mesh, coefficients.nu)
-        pair_one = assemble_cross(mesh, np.ones(mesh.num_tets))
-        pair_sigma_t, pair_one_t = pair_sigma.T.tocsr(), pair_one.T.tocsr()
-        return cls(mesh, coefficients, stiffness, mass, pair_sigma_t, pair_nu, pair_one_t)
+        return cls(mesh, coefficients, stiffness, mass, pair_nu)
 
     def solve(self, curl_weight, mass_weight, rhs_list, anchor, counts):
         """Solutions of (curl_weight K + mass_weight M) x = r, one per r.
@@ -400,39 +397,31 @@ class FluxWorkspace:
 
 def _pairs(ws, period, kind, modes, alpha):
     # Every pair of every mode as its flux-independent terms, laid out
-    # pairs[p][j] for pair p (forward or state, then adjoint) of mode j:
-    # per member b_eq (the load plus coupling G, tested against every
-    # basis curl) and b_def = C_nu phi, then the pair's residuals at zero
-    # flux, |G|^2 and |nu curl phi|^2, by one streamed quadrature.
-    one = ws.pair_one_t
-    pairs = ([], [])
+    # pairs[p][j] for pair p (of _PAIR_KEYS[kind]) of mode j: per member
+    # b_eq = (G, curl phi_e) and b_def = C_nu phi, then the residuals at
+    # zero flux |G|^2 and |nu curl phi|^2, all from _pair_points.
+    pairs = [[] for _ in _PAIR_KEYS[kind]]
     for k, eta, zeta, f in modes:
-        data = [assemble_curl_load(ws.mesh, None, g) for g in f[: 1 if k == 0 else 2]]
-        loads = [data]
-        if kind == "ocp":
-            state = [-(one @ z) / alpha for z in zeta[: len(data)]]
-            loads = [state, [one @ e - c for e, c in zip(eta, data)]]
-        points = _pair_points(ws.mesh, period, k, eta, zeta, f, alpha)
-        for p, (curl_load, (kw, phi, members)) in enumerate(zip(loads, points)):
-            b_eq = [
-                g + (2 * i - 1) * kw * (ws.pair_sigma_t @ phi[1 - i]) if kw else g
-                for i, g in enumerate(curl_load)
-            ]
-            b_def = [ws.pair_nu @ c for c in phi[: len(b_eq)]]
-            zero = _pair_residuals(ws.mesh, ws.coefficients, kw, phi, members, None)
-            pairs[p].append((b_eq, b_def, *zero))
-    return list(pairs) if kind == "ocp" else [pairs[0]]
+        points = _pair_points(ws.mesh, ws.coefficients, period, k, eta, zeta, f, alpha)
+        for pair, members in zip(pairs, points):
+            b_eq, b_def, eq, defect = [], [], 0.0, 0.0
+            for phi, g, d in members:
+                b_eq.append(assemble_curl_load(ws.mesh, g))
+                b_def.append(ws.pair_nu @ phi)
+                eq += integrate_squared(ws.mesh, g)
+                defect += integrate_squared(ws.mesh, np.broadcast_to(d[:, None, :], g.shape))
+            pair.append((b_eq, b_def, eq, defect))
+    return pairs
 
 
-def _form_sums(ws, pairs, fluxes, time_weights):
+def _form_sums(ws, kind, pairs, fluxes, time_weights):
     # Residual sums keyed like MajorantReport.residual_sums from each pair's
     # quadratic forms in its flux t, |G|^2 - 2 b_eq.t + t'K t and
     # t'M t - 2 b_def.t + |nu curl phi|^2 (clamped at zero; K and M are
     # exact for Nedelec fields), weighted by time_weights[j] for mode j;
     # then the same sums of the forms' term magnitudes.
-    keys = [("r1", "r2")] if len(pairs) == 1 else [("r3", "r2"), ("r1", "r4")]
     sums, scales = dict.fromkeys(_KEYS, 0.0), dict.fromkeys(_KEYS, 0.0)
-    for pair_keys, pair, flux in zip(keys, pairs, fluxes):
+    for pair_keys, pair, flux in zip(_PAIR_KEYS[kind], pairs, fluxes):
         for (b_eq, b_def, *zero), t, w in zip(pair, flux, time_weights):
             forms, magnitudes = list(zero), list(zero)
             for x, g, d in zip(t, b_eq, b_def):
@@ -452,7 +441,7 @@ def residual_forms(workspace, period, k, eta, fluxes, load, zeta=None, alpha=Non
     steer minimize_majorant, equal to them up to rounding."""
     kind = "forward" if zeta is None else "ocp"
     pairs = _pairs(workspace, period, kind, [(k, eta, zeta, load)], alpha)
-    sums, _ = _form_sums(workspace, pairs, [[t] for t in fluxes], [1.0])
+    sums, _ = _form_sums(workspace, kind, pairs, [[t] for t in fluxes], [1.0])
     return tuple(sums[key] for key in _KEYS[: 2 * len(pairs)])
 
 
@@ -539,6 +528,9 @@ def minimize_majorant(
         default sums modes 0..N plus the data remainder ``tail``.
     error_sq : float, optional
         Squared true error quantity; fills the efficiency columns.
+    workspace : FluxWorkspace, optional
+        Built from this ``mesh`` and ``coefficients`` (else ValueError);
+        by default a new one.
     tol : absolute stop threshold on the decrease of the squared bound.
         It is raised to four ulps of the current bound, and to FORM_NOISE
         machine epsilons of the bound on the magnitudes of its terms, so
@@ -575,6 +567,11 @@ def minimize_majorant(
     if cf < friedrichs_constant(np.ptp(mesh.vertices, axis=0)) * (1.0 - 1e-12):
         raise ValueError(f"Friedrichs constant {cf!r} is below the domain's")
     ws = workspace if workspace is not None else FluxWorkspace.from_mesh(mesh, coefficients)
+    if ws.mesh is not mesh or not (
+        np.array_equal(ws.coefficients.sigma, coefficients.sigma)
+        and np.array_equal(ws.coefficients.nu, coefficients.nu)
+    ):
+        raise ValueError("flux workspace was built for another mesh or coefficients")
     mode_list = list(range(period.N + 1)) if mode is None else [int(mode)]
     time_weights = [period.T if k == 0 else 0.5 * period.T for k in mode_list]
     modes = [
@@ -597,15 +594,10 @@ def minimize_majorant(
     previous = None
     for iteration in range(1, maxit + 1):
         start = time.perf_counter()
-        if iteration == 1:
-            pair_weights = None
-        elif kind == "forward":
-            pair_weights = [_forward_weights(betas[0], cf)]
-        else:
-            w_r1, w_r2, w_r3, w_r4 = _ocp_weights(betas, cf)
-            pair_weights = [(w_r3, w_r2), (w_r1, w_r4)]
-        fluxes = _flux_step(ws, pairs, pair_weights, cf, counts)
-        sums, scales = _form_sums(ws, pairs, fluxes, time_weights)
+        w = _weights(betas, cf)
+        pair_weights = [(w[eq], w[de]) for eq, de in _PAIR_KEYS[kind]]
+        fluxes = _flux_step(ws, pairs, pair_weights if iteration > 1 else None, cf, counts)
+        sums, scales = _form_sums(ws, kind, pairs, fluxes, time_weights)
         value = bound(sums, betas)
         eff = None if error_sq is None else efficiency_index(value, error_sq)
         trace.append(

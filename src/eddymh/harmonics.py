@@ -67,10 +67,10 @@ class FourierField:
         )
 
 
-def _time_rule(period, m=None):
-    # composite Gauss-Legendre; panel count grows with requested samples
-    if m is None:
-        m = 80
+def _time_rule(period, m=None, harmonic=0):
+    # composite 8-point Gauss-Legendre with at least m samples (default
+    # 80) and at least one panel per period of the given harmonic
+    m = max(80 if m is None else m, 8 * harmonic)
     panels = max(10, int(np.ceil(m / 8)))
     return gauss_time_rule(period.T, panels=panels, points=8)
 
@@ -86,7 +86,8 @@ def fourier_coeff(g, k, period, m=None):
         Mode index; k = 0 returns (mean, 0).
     period : PeriodSpec
     m : int, optional
-        Minimum number of quadrature samples (default 80).
+        Minimum number of quadrature samples (default 80); the rule
+        takes at least 8 k, one 8-point panel per period of mode k.
 
     Returns
     -------
@@ -94,7 +95,7 @@ def fourier_coeff(g, k, period, m=None):
     """
     if k < 0:
         raise ValueError("mode index must be nonnegative")
-    t, w = _time_rule(period, m)
+    t, w = _time_rule(period, m, k)
     vals = np.asarray(g(t), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("signal produced non-finite values")
@@ -110,11 +111,12 @@ def remainder(g, spatial_norm_sq, period, N=None, m=None):
     """Parseval tail of separable data g(t) s(x) beyond mode N.
 
     Returns ``(||g||^2_{L2(0,T)} - T mean^2 - (T/2) sum_{k<=N}(c_k^2+s_k^2))
-    * spatial_norm_sq``, clamped at zero against quadrature noise.
+    * spatial_norm_sq``, clamped at zero against quadrature noise.  The
+    time rule resolves every subtracted mode, as in ``fourier_coeff``.
     """
     if N is None:
         N = period.N
-    t, w = _time_rule(period, m)
+    t, w = _time_rule(period, m, N)
     vals = np.asarray(g(t), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("signal produced non-finite values")

@@ -19,6 +19,7 @@ from eddymh.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     MAX_MESH_N,
+    MAX_TRUNCATION,
     ConfigError,
     RunConfig,
     main,
@@ -201,6 +202,27 @@ def test_oversized_mesh_is_a_config_error(tmp_path):
     out = tmp_path / "out"
     assert main(["forward", "--config", config, "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("truncation", [MAX_TRUNCATION + 1, 10**30])
+def test_oversized_truncation_is_a_config_error(tmp_path, monkeypatch, truncation):
+    # validated before anything is built
+    assert RunConfig.from_dict({"truncation": MAX_TRUNCATION}).truncation == MAX_TRUNCATION
+    monkeypatch.setattr(eddymh.cli, "build_benchmark", None)
+    config = _write_config(tmp_path, mesh_n=1, truncation=truncation)
+    out = tmp_path / "out"
+    assert main(["forward", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_many_harmonics_forward_run(tmp_path):
+    # the data remainder resolves each of the 40 subtracted modes; with a
+    # fixed 80-point time rule it came out negative and the run failed
+    config = _write_config(tmp_path, mesh_n=1, truncation=40)
+    out = tmp_path / "out"
+    assert main(["forward", "--config", config, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["bound_satisfied"] and report["cases"][0]["total"]["tail"] > 0.0
 
 
 @pytest.mark.parametrize(

@@ -725,6 +725,35 @@ def test_concurrent_minimizations_share_one_factor(monkeypatch):
         assert (a.pcg_steps, a.direct_solves) == (b.pcg_steps, b.direct_solves)
 
 
+@pytest.mark.parametrize("other", ["mesh", "box", "sigma", "nu"])
+def test_minimize_majorant_refuses_another_problems_workspace(other):
+    # a workspace of another mesh, even one of the same size, or of other
+    # coefficients would steer and report the bound of another problem;
+    # one with equal coefficients in other arrays serves
+    bench = build_benchmark("forward", 2, 1)
+    mesh = bench.mesh
+    state = full_field(bench.dofmap, solve_benchmark(bench)[0]["state"])
+    consts = stability_constants("forward", "seminorm", bench.coefficients)
+    workspaces = {
+        "mesh": lambda: FluxWorkspace.from_mesh(build_box_mesh(2), unit_coeffs(mesh)),
+        "box": lambda: FluxWorkspace.from_mesh(
+            build_box_mesh(2, (2.0, 2.0, 2.0)), unit_coeffs(mesh)
+        ),
+        "sigma": lambda: FluxWorkspace.from_mesh(mesh, Coefficients.constant(mesh, 50.0)),
+        "nu": lambda: FluxWorkspace.from_mesh(mesh, Coefficients.constant(mesh, 1.0, 2.0)),
+    }
+
+    def run(ws):
+        return minimize_majorant(
+            mesh, bench.coefficients, bench.period, "forward", state,
+            mode_evaluators(bench), consts, mode=1, workspace=ws,
+        )
+
+    with pytest.raises(ValueError, match="workspace"):
+        run(workspaces[other]())
+    assert run(FluxWorkspace.from_mesh(mesh, unit_coeffs(mesh))).majorant_sq > 0.0
+
+
 def test_majorant_stop_at_rounding_level():
     # Mode 1 of this case has a squared bound of about 3.3e12, whose ulp
     # exceeds the default tol = 1e-4: the bound settles within a few

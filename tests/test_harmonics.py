@@ -15,6 +15,13 @@ from eddymh.harmonics import (
     remainder,
 )
 from eddymh.mesh import build_box_mesh, gradient_incidence
+from eddymh.presets import (
+    EIGENVALUE,
+    forward_data_modes,
+    forward_data_profile,
+    ocp_data_modes,
+    ocp_data_profile,
+)
 
 TWO_PI = 2.0 * math.pi
 E2PI = math.exp(TWO_PI) - 1.0
@@ -100,6 +107,26 @@ def test_remainder_exp_sin_tail_oracle():
             for c, s in (exp_sin_coeff(k) for k in range(N + 1, 2001))
         )
         assert values[N] == pytest.approx(tail, rel=1e-6)
+
+
+@pytest.mark.parametrize("N", [20, 30, 40])
+@pytest.mark.parametrize("kind", ["forward", "ocp"])
+def test_time_rule_resolves_every_harmonic(kind, N):
+    # the data profiles e^t (a cos t + b sin t) against their closed-form
+    # modes: ||g||^2 = (e^{4 pi} - 1) ((a^2 + b^2)/4 + (a^2 - b^2)/8 - ab/4)
+    m = EIGENVALUE + 1.0
+    modes, g, (a, b) = {
+        "forward": (forward_data_modes, forward_data_profile, (1.0, m)),
+        "ocp": (ocp_data_modes, ocp_data_profile, (-m, 1.0 + m * m)),
+    }[kind]
+    total = math.expm1(4.0 * math.pi) * (
+        (a * a + b * b) / 4.0 + (a * a - b * b) / 8.0 - a * b / 4.0
+    )
+    c, s = modes(np.arange(N + 1))
+    tail = total - TWO_PI * c[0] ** 2 - 0.5 * TWO_PI * np.sum(c[1:] ** 2 + s[1:] ** 2)
+    period = PeriodSpec(TWO_PI, N)
+    assert remainder(g, 1.0, period) == pytest.approx(tail, rel=1e-7)
+    np.testing.assert_allclose(fourier_coeff(g, N, period), (c[N], s[N]), rtol=1e-6)
 
 
 def test_parseval_totals():
