@@ -433,6 +433,7 @@ def _case_entry(case):
                 "iterations": st.iterations,
                 "relative_residual": float(st.relative_residual),
                 "converged": bool(st.converged),
+                "seconds": float(st.wall_time),
             }
             for k, st in enumerate(case.stats)
         ],

@@ -4,13 +4,16 @@ Every Fourier mode decouples into one symmetric (indefinite) linear system on
 the free edge DOFs: a 2x2 block system for the forward problem (one block for
 the mean mode), a 4x4 block system for the optimality system of the control
 problem (2x2 for the mean mode).  All are solved with preconditioned MINRES
-with block-diagonal preconditioners built from one SPD factor per mode:
-K + k w M_sigma for the forward problem, M + sqrt(alpha) (K + k w M_sigma)
+with block-diagonal preconditioners built from one SPD factor:
+K + kw M_sigma for the forward problem, M + sqrt(alpha) (K + kw M_sigma)
 for the control problem (the sqrt(alpha) weighting keeps iteration counts
-flat across many decades of alpha).  Each mode's operator is one sparse
-block matrix, so a MINRES step does one sparse product, and one
-preconditioner application is a single multi-column solve with the
-factor, one column per block.
+flat across many decades of alpha).  ``mode_factor`` builds it for any
+frequency kw; a mode k >= 1 factors its own at kw = k w unless it is given
+one, so that a whole case can share one factor at a middle frequency.  The
+mean mode always factors its own, which does not depend on w.  Each mode's
+operator is one sparse block matrix, so a MINRES step does one sparse
+product, and one preconditioner application is a single multi-column solve
+with the factor, one column per block.
 
 The singular mean mode of the forward problem is gauged on the interior
 nodal potentials: the load is projected onto range(K) with a factor of
@@ -32,8 +35,9 @@ from eddymh.harmonics import FourierField
 from eddymh.mesh import gradient_incidence
 
 # splu arguments for SPD matrices: symmetric fill-reducing ordering, no
-# pivoting.  The MINRES preconditioners keep the default COLAMD ordering,
-# which measured faster for them.
+# pivoting.  The MINRES preconditioners keep the default COLAMD ordering:
+# for K + 2 Ms at n = 12 it filled 8.65M nnz(L+U) in 1.9 s and raised the
+# peak RSS by 65 MB; these arguments filled 5.00M, but took 2.5 s and 118 MB.
 SPD_SPLU = {
     "permc_spec": "MMD_AT_PLUS_A",
     "diag_pivot_thresh": 0.0,
@@ -217,14 +221,28 @@ def _block_operator(blocks, n):
     return A
 
 
-def build_forward(k, matrices, period, u_c, u_s=None):
+def mode_factor(matrices, kw, alpha=None):
+    """Factor of the SPD preconditioner block P at mode frequency ``kw``.
+
+    P = K + kw Ms for the forward problem (``alpha`` None) and
+    P = M + sqrt(alpha) (K + kw Ms) for the optimality system.
+    """
+    P = matrices.K + kw * matrices.Msigma
+    if alpha is not None:
+        P = matrices.M + np.sqrt(alpha) * P
+    return splu(P.tocsc())
+
+
+def build_forward(k, matrices, period, u_c, u_s=None, lu=None):
     """Mode-k forward system in its symmetric MINRES form.
 
     The discrete mode equations are ``K y_c + k w Ms y_s = u_c`` and
     ``-k w Ms y_c + K y_s = u_s``.  Negating the first row and swapping the
     block rows gives the symmetric operator
     ``[[-k w Ms, -K], [-K, +k w Ms]]`` acting on (y_s, y_c) with right-hand
-    side (-u_c, -u_s), which MINRES accepts.
+    side (-u_c, -u_s), which MINRES accepts.  ``lu`` is a preconditioner
+    factor from ``mode_factor`` for k >= 1; without it the mode factors its
+    own at kw = k w.
     """
     if k == 0:
         return build_forward0(matrices, u_c)
@@ -236,7 +254,8 @@ def build_forward(k, matrices, period, u_c, u_s=None):
     # build_ocp0): the factorization then reuses the heap the stacking
     # freed, which built after it stayed resident beside the factor.
     A = _block_operator([[(-kw, Ms), (-1.0, K)], [(-1.0, K), (kw, Ms)]], matrices.n)
-    lu = splu((K + kw * Ms).tocsc())
+    if lu is None:
+        lu = mode_factor(matrices, kw)
     rhs = np.concatenate([-u_c, -u_s])
     return ModeSystem(k, "forward", A, lu, np.ones(2), ("y_s", "y_c"), rhs)
 
@@ -275,7 +294,7 @@ def build_forward0(matrices, u0, consistency_tol=1e-9):
     return ModeSystem(0, "forward0", K, lu, np.ones(1), ("y_c",), rhs, postprocess)
 
 
-def build_ocp(k, matrices, alpha, period, yd_c, yd_s=None):
+def build_ocp(k, matrices, alpha, period, yd_c, yd_s=None, lu=None):
     """Mode-k optimality system, 4x4 symmetric block form.
 
     Rows: [M, 0, -K, k w Ms | 0, M, -k w Ms, -K | -K, -k w Ms, -M/alpha, 0 |
@@ -286,7 +305,9 @@ def build_ocp(k, matrices, alpha, period, yd_c, yd_s=None):
     P = M + sqrt(alpha) (K + k w Ms).  Weighting the coupling factor by
     sqrt(alpha) balances it against the mass block for every alpha, which a
     plain K + k w Ms factor does not: that one loses its grip as alpha -> 0
-    and iteration counts grow by several multiples.
+    and iteration counts grow by several multiples.  ``lu`` is a factor of
+    P from ``mode_factor`` for k >= 1; without it the mode factors its own
+    at kw = k w.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
@@ -306,7 +327,8 @@ def build_ocp(k, matrices, alpha, period, yd_c, yd_s=None):
         ],
         n,
     )
-    lu = splu((M + np.sqrt(alpha) * (K + kw * Ms)).tocsc())
+    if lu is None:
+        lu = mode_factor(matrices, kw, alpha)
     rhs = np.concatenate([yd_c, yd_s, np.zeros(n), np.zeros(n)])
     scales = np.array([1.0, 1.0, alpha, alpha])
     return ModeSystem(k, "ocp", A, lu, scales, ("y_c", "y_s", "p_c", "p_s"), rhs)

@@ -285,7 +285,9 @@ def test_forward_run_tables(tmp_path):
     assert case["total"]["i_eff"] >= 1.0 - 1e-6
     assert case["total"]["tail"] > 0.0
     assert len(case["modes"]) == 2
+    assert [entry["mode"] for entry in case["minres"]] == [0, 1]
     assert all(entry["converged"] for entry in case["minres"])
+    assert all(entry["seconds"] >= 0.0 for entry in case["minres"])
     mesh_lines = (out / "mesh.txt").read_text(encoding="utf-8").splitlines()
     counts = dict(line.split() for line in mesh_lines)
     assert counts["tets"] == "48"
@@ -348,6 +350,8 @@ def test_ocp_threads_match_serial(tmp_path):
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         for case in report["cases"]:
             del case["estimate_seconds"]
+            for row in case["minres"]:
+                del row["seconds"]
         reports.append(report)
     assert reports[0] == reports[1]
     for bound in reports[0]["cases"][0]["modes"] + [reports[0]["cases"][0]["total"]]:

@@ -14,14 +14,13 @@ from eddymh.edge_fem import (
     assemble_load,
     basis_data,
     difference_norms,
-    element_matrices,
     fe_curls,
     fe_values,
-    field_norms,
     interpolate_tangential,
 )
 from eddymh.mesh import LOCAL_EDGES, build_box_mesh, gradient_incidence
 from eddymh.quadrature import conical_tet_rule
+from fem_oracles import element_matrices, field_norms
 
 REF_TET = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -257,7 +256,7 @@ def test_basis_data_dies_with_its_mesh():
 def test_dofmap_roundtrip():
     mesh = build_box_mesh(2)
     dof = DofMap.from_mesh(mesh)
-    assert dof.num_free == 26
+    assert dof.free.size == 26
     assert np.all(dof.index[mesh.boundary_edges] == -1)
     np.testing.assert_array_equal(dof.index[dof.free], np.arange(26))
     v = np.arange(26, dtype=float)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eddymh import estimator
-from eddymh.edge_fem import Coefficients, DofMap, field_norms, interpolate_tangential
+from eddymh.edge_fem import Coefficients, DofMap, interpolate_tangential
 from eddymh.estimator import (
     BETA_MAX,
     BETA_MIN,
@@ -37,6 +37,7 @@ from eddymh.presets import (
     solve_benchmark,
 )
 from eddymh.quadrature import TET_P5_BARY, TET_P5_WEIGHTS
+from fem_oracles import field_norms
 
 TWO_PI = 2.0 * math.pi
 

@@ -193,7 +193,7 @@ def test_discrete_friedrichs_on_gauged_fields():
     G = gradient_incidence(mesh, interior_only=True).toarray()[dof.free]
     rng = np.random.default_rng(12)
     for _ in range(10):
-        v = rng.normal(size=dof.num_free)
+        v = rng.normal(size=dof.free.size)
         # M-orthogonal projection away from the gradient kernel
         coef = linalg.solve(G.T @ M @ G, G.T @ (M @ v))
         v = v - G @ coef

@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eddymh.edge_fem import field_norms
 from eddymh.harmonics import PeriodSpec, fourier_coeff, remainder
 from eddymh.mesh import build_box_mesh
 from eddymh.presets import (
@@ -25,9 +24,11 @@ from eddymh.presets import (
     profile_curl,
     scalar_forward_exact,
     scalar_ocp_exact,
+    shared_factor,
     solve_benchmark,
 )
 from eddymh.systems import build_forward, build_ocp, solve_mode
+from fem_oracles import field_norms
 
 TWO_PI = 2.0 * math.pi
 E2PI = math.exp(TWO_PI) - 1.0
@@ -259,16 +260,14 @@ def test_ocp_benchmark_solves_both_fields():
     "kind, n, N, alpha", [("forward", 3, 3, None), ("ocp", 2, 2, 0.7)]
 )
 def test_concurrent_solve_equals_mode_by_mode_solves(kind, n, N, alpha):
+    # modes k >= 1 share one factor in the concurrent solve; given the
+    # same factor, the mode-by-mode solves must agree bit for bit
     bench = build_benchmark(kind, n, N, alpha=alpha)
     fields, stats = solve_benchmark(bench)
     assert len(stats) == N + 1
+    lu = shared_factor(bench)
     for k in range(N + 1):
-        loads = bench.mode_load(k)
-        if kind == "forward":
-            system = build_forward(k, bench.matrices, bench.period, *loads)
-        else:
-            system = build_ocp(k, bench.matrices, alpha, bench.period, *loads)
-        parts, st = solve_mode(system)
+        parts, st = solve_mode(_mode_system(bench, k, lu if k else None))
         assert st.iterations == stats[k].iterations
         assert st.relative_residual == stats[k].relative_residual
         for name, field in fields.items():
@@ -279,6 +278,67 @@ def test_concurrent_solve_equals_mode_by_mode_solves(kind, n, N, alpha):
                 got_c, got_s = field.mode(k)
                 np.testing.assert_array_equal(got_c, parts[f"{prefix}_c"])
                 np.testing.assert_array_equal(got_s, parts[f"{prefix}_s"])
+
+
+def _mode_system(bench, k, lu=None):
+    loads = bench.mode_load(k)
+    if bench.kind == "forward":
+        return build_forward(k, bench.matrices, bench.period, *loads, lu=lu)
+    return build_ocp(k, bench.matrices, bench.alpha, bench.period, *loads, lu=lu)
+
+
+@pytest.mark.parametrize(
+    "kind, n, N, alpha", [("forward", 3, 3, None), ("ocp", 3, 3, 0.0115), ("ocp", 3, 3, 31.6)]
+)
+def test_shared_factor_solutions_match_per_mode_factors(kind, n, N, alpha):
+    # the preconditioner changes only the path, not the solution: at a
+    # tight tolerance both factors give the same fields, mean mode included
+    bench = build_benchmark(kind, n, N, alpha=alpha)
+    fields, stats = solve_benchmark(bench, tol=1e-12)
+    assert all(st.converged for st in stats)
+    for k in range(N + 1):
+        parts, st = solve_mode(_mode_system(bench, k), tol=1e-12)
+        assert st.converged
+        for name, field in fields.items():
+            prefix = {"state": "y", "adjoint": "p"}[name]
+            got = [field.mode0] if k == 0 else field.mode(k)
+            for value, member in zip(got, "cs"):
+                want = parts[f"{prefix}_{member}"]
+                scale = np.linalg.norm(want)
+                assert np.linalg.norm(value - want) <= 1e-10 * scale
+
+
+def _minres_counts(bench, lu=None):
+    return [
+        solve_mode(_mode_system(bench, k, lu))[1].iterations
+        for k in range(1, bench.period.N + 1)
+    ]
+
+
+# worst MINRES count over modes 1..N with the shared factor, n = 4, exp
+# preset, N = 2, 4, 16, 64 (with each mode's own factor: forward 12, 14,
+# 20, 21; ocp 20, 20, 24, 26 at alpha 0.0115 and 12, 14, 20, 22 at 31.6)
+SHARED_FACTOR_WORST_COUNTS = {
+    ("forward", None): (12, 12, 14, 26),
+    ("ocp", 0.0115): (20, 20, 20, 24),
+    ("ocp", 31.6): (12, 12, 16, 26),
+}
+
+
+@pytest.mark.parametrize("kind, alpha", list(SHARED_FACTOR_WORST_COUNTS))
+def test_shared_factor_keeps_minres_counts_near_per_mode_factors(kind, alpha):
+    # one factor at kw* = omega sqrt(N) serves every harmonic up to the
+    # truncation cap: the worst MINRES count stays within 1.5x of the
+    # worst with each mode's own factor (which does not depend on N).
+    # The pins allow one step of 2 for rounding on other BLAS builds.
+    bench = build_benchmark(kind, 4, 64, alpha=alpha)
+    own = _minres_counts(bench)
+    pins = SHARED_FACTOR_WORST_COUNTS[kind, alpha]
+    for N, pin in zip((2, 4, 16, 64), pins):
+        case = dataclasses.replace(bench, period=PeriodSpec(TWO_PI, N))
+        shared = _minres_counts(case, shared_factor(case))
+        assert max(shared) <= 1.5 * max(own[:N]), (N, own[:N], shared)
+        assert abs(max(shared) - pin) <= 2, (N, shared)
 
 
 def test_concurrent_solve_raises_a_mode_failure():
