@@ -45,9 +45,6 @@ class DofMap:
         index[free] = np.arange(free.size)
         return cls(mesh.num_edges, free, index)
 
-    def restrict(self, full_vec):
-        return np.asarray(full_vec)[self.free]
-
     def extend(self, free_vec):
         out = np.zeros(self.num_edges)
         out[self.free] = free_vec
@@ -73,22 +70,6 @@ class Coefficients:
     def constant(cls, mesh, sigma=1.0, nu=1.0):
         nt = mesh.num_tets
         return cls(np.full(nt, float(sigma)), np.full(nt, float(nu)))
-
-    @property
-    def sigma_min(self):
-        return float(self.sigma.min())
-
-    @property
-    def sigma_max(self):
-        return float(self.sigma.max())
-
-    @property
-    def nu_min(self):
-        return float(self.nu.min())
-
-    @property
-    def nu_max(self):
-        return float(self.nu.max())
 
 
 @dataclass(eq=False)
@@ -245,7 +226,7 @@ def integrate_squared(mesh, values, weight=None):
     return float(per_tet.sum())
 
 
-def difference_norms(mesh, coef, f, curl_f, weight=None):
+def difference_norms(mesh, coef, f, curl_f):
     """Norms of (f - FE field): returns (L2 norm^2, curl seminorm^2).
 
     The FE parts are linear/constant per tet, so the degree-5 rule leaves
@@ -253,24 +234,24 @@ def difference_norms(mesh, coef, f, curl_f, weight=None):
     """
     bd = basis_data(mesh)
     nt, nq = bd.points.shape[:2]
-    w = None if weight is None else np.broadcast_to(np.asarray(weight, float), (nt,))
     F = np.asarray(f(bd.points.reshape(-1, 3))).reshape(nt, nq, 3) - fe_values(mesh, coef)
-    norm_sq = integrate_squared(mesh, F, w)
+    norm_sq = integrate_squared(mesh, F)
     C = np.asarray(curl_f(bd.points.reshape(-1, 3))).reshape(nt, nq, 3) - fe_curls(
         mesh, coef
     )[:, None, :]
-    curl_sq = integrate_squared(mesh, C, w)
+    curl_sq = integrate_squared(mesh, C)
     return norm_sq, curl_sq
 
 
-def interpolate_tangential(mesh, f, points=4):
-    """Edge DOFs of an analytic field: int_e f . t ds per global edge."""
-    x, wx = np.polynomial.legendre.leggauss(points)
+def interpolate_tangential(mesh, f):
+    """Edge DOFs of an analytic field: int_e f . t ds per global edge,
+    by the 4-point Gauss rule on each edge."""
+    x, wx = np.polynomial.legendre.leggauss(4)
     s = 0.5 * (x + 1.0)
     a = mesh.vertices[mesh.edges[:, 0]]
     b = mesh.vertices[mesh.edges[:, 1]]
     tang = b - a  # includes edge length
     pts = a[:, None, :] + s[None, :, None] * tang[:, None, :]
-    F = np.asarray(f(pts.reshape(-1, 3))).reshape(mesh.num_edges, points, 3)
+    F = np.asarray(f(pts.reshape(-1, 3))).reshape(mesh.num_edges, x.size, 3)
     return 0.5 * np.einsum("q,eqi,ei->e", wx, F, tang)
 

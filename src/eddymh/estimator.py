@@ -96,10 +96,8 @@ def stability_constants(problem, quantity, coefficients, alpha=None, friedrichs=
         Defaults to the unit-cube constant 1/(sqrt(2) pi).
     """
     cf = friedrichs_constant() if friedrichs is None else float(friedrichs)
-    if not cf > 0.0:
-        raise ValueError("Friedrichs constant must be positive")
-    s_lo, s_hi = coefficients.sigma_min, coefficients.sigma_max
-    n_lo, n_hi = coefficients.nu_min, coefficients.nu_max
+    s_lo, s_hi = float(coefficients.sigma.min()), float(coefficients.sigma.max())
+    n_lo, n_hi = float(coefficients.nu.min()), float(coefficients.nu.max())
     if problem == "forward":
         if quantity == "seminorm":
             lower = min(n_lo, s_lo) / math.sqrt(2.0)

@@ -107,7 +107,7 @@ def fourier_coeff(g, k, period, m=None):
     return float(c), float(s)
 
 
-def remainder(g, spatial_norm_sq, period, N=None, m=None):
+def remainder(g, spatial_norm_sq, period, N=None):
     """Parseval tail of separable data g(t) s(x) beyond mode N.
 
     Returns ``(||g||^2_{L2(0,T)} - T mean^2 - (T/2) sum_{k<=N}(c_k^2+s_k^2))
@@ -116,7 +116,7 @@ def remainder(g, spatial_norm_sq, period, N=None, m=None):
     """
     if N is None:
         N = period.N
-    t, w = _time_rule(period, m, N)
+    t, w = _time_rule(period, harmonic=N)
     vals = np.asarray(g(t), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("signal produced non-finite values")

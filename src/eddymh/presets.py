@@ -32,7 +32,10 @@ EIGENVALUE = 2.0 * math.pi**2
 PROFILE_NORM_SQ = 0.25
 PROFILE_CURL_SQ = math.pi**2 / 2.0
 
-# modes per slice of the exact-error series tail
+# The exact-error series tail is summed to mode TAIL_KMAX, far past where
+# the amplitudes' quadratic decay makes terms vanish, TAIL_CHUNK modes at a
+# time so that no array spans the whole tail.
+TAIL_KMAX = 200000
 TAIL_CHUNK = 8192
 
 # finite-mode amplitudes of the trigonometric data set
@@ -195,7 +198,6 @@ class Benchmark:
     """
 
     kind: str
-    preset: str
     mesh: object
     dofmap: DofMap
     coefficients: Coefficients
@@ -256,7 +258,7 @@ def build_benchmark(kind, n, N, alpha=None, T=2.0 * math.pi, preset="exp"):
     matrices = SystemMatrices.from_mesh(mesh, coefficients, dofmap)
     load_vector = assemble_load(mesh, dofmap, profile)
     return Benchmark(
-        kind, preset, mesh, dofmap, coefficients, matrices, period, alpha,
+        kind, mesh, dofmap, coefficients, matrices, period, alpha,
         data_modes, data_profile, load_vector,
     )
 
@@ -369,14 +371,12 @@ class ErrorBreakdown:
         return float(sum(self.norm_modes) + self.norm_tail)
 
 
-def error_breakdown(bench, field, exact, kmax=200000):
+def error_breakdown(bench, field, exact):
     """Exact squared errors of a modal FE field against scalar amplitudes.
 
     ``exact`` maps mode indices (vectorized) to amplitude pairs of the
     spatial profile.  Modes up to the truncation are integrated with the
-    degree-5 rule; the remaining series is summed directly to ``kmax``,
-    far past where the amplitudes' quadratic decay makes terms vanish,
-    TAIL_CHUNK modes at a time so that no array spans the whole tail.
+    degree-5 rule; the remaining series is summed directly to TAIL_KMAX.
     """
     mesh, dofmap, period = bench.mesh, bench.dofmap, bench.period
     T, omega = period.T, period.omega
@@ -401,8 +401,8 @@ def error_breakdown(bench, field, exact, kmax=200000):
         norm_modes.append(weight * ((1.0 + k * omega) * l2 + curl))
     semi_tail = 0.0
     norm_tail = 0.0
-    for first in range(period.N + 1, kmax + 1, TAIL_CHUNK):
-        ks = np.arange(first, min(first + TAIL_CHUNK, kmax + 1))
+    for first in range(period.N + 1, TAIL_KMAX + 1, TAIL_CHUNK):
+        ks = np.arange(first, min(first + TAIL_CHUNK, TAIL_KMAX + 1))
         tc, ts = exact(ks)
         amp_sq = (np.asarray(tc) ** 2 + np.asarray(ts) ** 2) * PROFILE_NORM_SQ
         curl_sq = (np.asarray(tc) ** 2 + np.asarray(ts) ** 2) * PROFILE_CURL_SQ
@@ -414,11 +414,9 @@ def error_breakdown(bench, field, exact, kmax=200000):
     )
 
 
-def benchmark_errors(bench, fields, kmax=200000):
+def benchmark_errors(bench, fields):
     """Error breakdowns for the solved fields: state and, for ocp, adjoint."""
-    out = {"state": error_breakdown(bench, fields["state"], bench.exact_state, kmax)}
+    out = {"state": error_breakdown(bench, fields["state"], bench.exact_state)}
     if bench.kind == "ocp":
-        out["adjoint"] = error_breakdown(
-            bench, fields["adjoint"], bench.exact_adjoint, kmax
-        )
+        out["adjoint"] = error_breakdown(bench, fields["adjoint"], bench.exact_adjoint)
     return out

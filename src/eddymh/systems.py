@@ -44,6 +44,9 @@ SPD_SPLU = {
     "options": {"SymmetricMode": True},
 }
 
+# largest kernel component, relative to it, of a mean forward mode's load
+CONSISTENCY_TOL = 1e-9
+
 
 @dataclass(eq=False)
 class SystemMatrices:
@@ -260,7 +263,7 @@ def build_forward(k, matrices, period, u_c, u_s=None, lu=None):
     return ModeSystem(k, "forward", A, lu, np.ones(2), ("y_s", "y_c"), rhs)
 
 
-def build_forward0(matrices, u0, consistency_tol=1e-9):
+def build_forward0(matrices, u0):
     """Mean-mode forward system K y = u with gradient-space gauging.
 
     K is singular with the discrete gradients as kernel; the load must be
@@ -273,7 +276,7 @@ def build_forward0(matrices, u0, consistency_tol=1e-9):
         z = splu((G.T @ G).tocsc(), **SPD_SPLU).solve(G.T @ u0)
         defect = np.linalg.norm(G @ z)
         scale = np.linalg.norm(u0)
-        if scale > 0 and defect > consistency_tol * scale:
+        if scale > 0 and defect > CONSISTENCY_TOL * scale:
             raise ValueError(
                 f"load is inconsistent with the gauged system "
                 f"(kernel component {defect / scale:.3e})"

@@ -193,15 +193,70 @@ def test_any_small_run_ends_in_a_documented_exit_code(
         assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_BOUND)
 
 
-def test_oversized_mesh_is_a_config_error(tmp_path):
+def test_removed_config_keys_are_unknown(tmp_path, capsys):
+    # values the keys once accepted: the subcommand's problem, unit sigma, nu
+    for key, value in (("problem", "forward"), ("sigma", 1.0), ("nu", 1.0)):
+        config = _write_config(tmp_path, **{key: value})
+        out = tmp_path / "out"
+        assert main(["forward", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "ocp"])
+@pytest.mark.parametrize(
+    "fields, code",
+    [
+        # cf^2 K swamps M in the flux matrices, which SuperLU finds singular
+        ({"friedrichs": 1e20}, EXIT_SOLVER),
+        ({"majorant_tol": 1e300}, EXIT_OK),
+        ({"minres_tol": 1e300}, EXIT_OK),
+        ({"preset": "trig", "period": 1e-5}, EXIT_OK),
+        ({"preset": "trig", "period": 1e300}, EXIT_OK),
+        ({"truncation": 0}, EXIT_OK),
+        ({"mesh_n": 1, "truncation": MAX_TRUNCATION}, EXIT_OK),
+    ],
+    ids=[
+        "friedrichs-1e20",
+        "majorant_tol-1e300",
+        "minres_tol-1e300",
+        "trig-period-1e-5",
+        "trig-period-1e300",
+        "truncation-0",
+        "mesh_n-1-truncation-max",
+    ],
+)
+def test_extreme_valid_values_end_in_a_documented_exit_code(
+    tmp_path, capsys, command, fields, code
+):
+    config = _write_config(tmp_path, **fields)
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == code
+    if code == EXIT_SOLVER:
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure:") and err.count("\n") == 1
+
+
+def test_verify_reports_a_singular_flux_factor_as_a_failed_check(tmp_path, capsys):
+    config = _write_config(tmp_path, friedrichs=1e20)
+    assert main(["verify", "--config", config]) == EXIT_CHECK
+    rows = capsys.readouterr().out.splitlines()
+    (row,) = [line for line in rows if line.startswith("guaranteed bound")]
+    assert "FAIL" in row and "singular" in row
+
+
+def test_oversized_mesh_is_a_config_error(tmp_path, monkeypatch):
     # validated before anything is meshed
     assert RunConfig.from_dict({"mesh_n": MAX_MESH_N}).mesh_n == MAX_MESH_N
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"mesh_n": MAX_MESH_N + 1})
-    config = _write_config(tmp_path, mesh_n=100000, truncation=1)
-    out = tmp_path / "out"
-    assert main(["forward", "--config", config, "--out", str(out)]) == EXIT_CONFIG
-    assert not out.exists()
+    monkeypatch.setattr(eddymh.cli, "build_benchmark", None)
+    # 32 was accepted once, but its factors would need far more than 8 GB
+    for mesh_n in (32, 100000):
+        config = _write_config(tmp_path, mesh_n=mesh_n, truncation=1)
+        out = tmp_path / "out"
+        assert main(["forward", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("truncation", [MAX_TRUNCATION + 1, 10**30])

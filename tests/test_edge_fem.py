@@ -160,7 +160,7 @@ def test_gradient_load_pairing():
     f = lambda p: np.stack([p[:, 1] * p[:, 2], p[:, 0] * p[:, 2], p[:, 0] * p[:, 1]], axis=1)
     points = basis_data(mesh).points
     Lc = assemble_curl_load(mesh, f(points.reshape(-1, 3)).reshape(points.shape))
-    np.testing.assert_allclose(dof.restrict(Lc), 0.0, atol=1e-13)
+    np.testing.assert_allclose(Lc[dof.free], 0.0, atol=1e-13)
 
 
 def test_patch_test_constant_field():
@@ -260,7 +260,7 @@ def test_dofmap_roundtrip():
     assert np.all(dof.index[mesh.boundary_edges] == -1)
     np.testing.assert_array_equal(dof.index[dof.free], np.arange(26))
     v = np.arange(26, dtype=float)
-    np.testing.assert_array_equal(dof.restrict(dof.extend(v)), v)
+    np.testing.assert_array_equal(dof.extend(v)[dof.free], v)
 
 
 def test_coefficients_validation():
@@ -268,5 +268,5 @@ def test_coefficients_validation():
     with pytest.raises(ValueError):
         Coefficients.constant(mesh, sigma=-1.0)
     c = Coefficients.constant(mesh, sigma=2.0, nu=0.5)
-    assert c.sigma_min == c.sigma_max == 2.0
-    assert c.nu_min == c.nu_max == 0.5
+    np.testing.assert_array_equal(c.sigma, 2.0)
+    np.testing.assert_array_equal(c.nu, 0.5)
