@@ -52,7 +52,7 @@ from .presets import (
     profile,
     solve_benchmark,
 )
-from .quadrature import TET_P2_BARY, TET_P2_WEIGHTS, TET_P5_POINTS, TET_P5_WEIGHTS
+from .quadrature import TET_P5_POINTS, TET_P5_WEIGHTS
 from .systems import SystemMatrices, build_forward, build_ocp, reconstruct, solve_mode
 
 EXIT_OK = 0
@@ -68,6 +68,10 @@ BOUND_SLACK = 1e-6
 MAX_MESH_N = 20
 # Largest accepted truncation N; see the README for its footprint.
 MAX_TRUNCATION = 64
+# Largest accepted friedrichs: in the flux matrices cf^2 K + M, the entries
+# of M fall below the rounding of cf^2 K once cf passes about h / sqrt(eps)
+# (3.4e6 at mesh_n 20), and SuperLU then finds them singular or overflows.
+MAX_FRIEDRICHS = 1e6
 
 _PRESETS = {
     "paper-forward": ("forward", "exp"),
@@ -175,8 +179,10 @@ class RunConfig:
                 "alphas must be a non-empty list of finite positive numbers"
             )
         self.alphas = tuple(float(a) for a in alphas)
-        if self.friedrichs is not None and not _is_positive_number(self.friedrichs):
-            raise ConfigError("friedrichs must be a finite positive number")
+        if self.friedrichs is not None and not (
+            _is_positive_number(self.friedrichs) and self.friedrichs <= MAX_FRIEDRICHS
+        ):
+            raise ConfigError(f"friedrichs must be a positive number <= {MAX_FRIEDRICHS:g}")
         if self.output is not None and not isinstance(self.output, str):
             raise ConfigError("output must be a directory path string")
         for name in ("exact_substitution", "write_mesh"):
@@ -493,19 +499,12 @@ def _reference_tet_monomial(powers):
 
 def _check_quadrature():
     worst = 0.0
-    rules = [
-        (TET_P2_BARY[:, 1:], TET_P2_WEIGHTS, 2),
-        (TET_P5_POINTS, TET_P5_WEIGHTS, 5),
-    ]
-    for points, weights, degree in rules:
-        for a in range(degree + 1):
-            for b in range(degree + 1 - a):
-                for c in range(degree + 1 - a - b):
-                    value = float(
-                        weights
-                        @ (points[:, 0] ** a * points[:, 1] ** b * points[:, 2] ** c)
-                    )
-                    worst = max(worst, abs(value - _reference_tet_monomial((a, b, c))))
+    x, y, z = TET_P5_POINTS.T
+    for a in range(6):
+        for b in range(6 - a):
+            for c in range(6 - a - b):
+                value = float(TET_P5_WEIGHTS @ (x**a * y**b * z**c))
+                worst = max(worst, abs(value - _reference_tet_monomial((a, b, c))))
     return (
         "element quadrature",
         worst <= 1e-14,

@@ -5,6 +5,12 @@ The basis function attached to edge e = (a, b) is the Whitney form
 ``curl phi_e = 2 grad lambda_a x grad lambda_b`` constant per tet.  Global
 orientation follows ascending vertex indices; the per-tet signs from the mesh
 make the assembled fields tangentially continuous.
+
+Each is linear in the barycentric coordinates, ``phi_e = sum_i lambda_i w_ei``
+with ``w_ea = grad lambda_b``, ``w_eb = -grad lambda_a`` and the other two
+zero.  These vectors are the only basis table kept: point values apply the
+points' barycentric coordinates, and the mass matrices use
+``int lambda_i lambda_j = vol (1 + delta_ij) / 20`` exactly.
 """
 
 import weakref
@@ -14,16 +20,16 @@ import numpy as np
 from scipy import sparse
 
 from eddymh.mesh import LOCAL_EDGES
-from eddymh.quadrature import (
-    TET_P2_BARY,
-    TET_P2_WEIGHTS,
-    TET_P5_BARY,
-    TET_P5_POINTS,
-    TET_P5_WEIGHTS,
-)
+from eddymh.quadrature import TET_P5_BARY, TET_P5_POINTS, TET_P5_WEIGHTS
 
 _EA = LOCAL_EDGES[:, 0]
 _EB = LOCAL_EDGES[:, 1]
+
+# int lambda_i lambda_j / vol, acting on the barycentric vectors of an edge
+# flattened to 12 entries, vertex after vertex
+_MASS_BARY = np.kron((np.ones((4, 4)) + np.eye(4)) / 20.0, np.eye(3))
+# degree-5 weight times barycentric coordinate, (4, nq5)
+_MOMENTS_P5 = (TET_P5_BARY * TET_P5_WEIGHTS[:, None]).T
 
 
 @dataclass(eq=False)
@@ -74,18 +80,16 @@ class Coefficients:
 
 @dataclass(eq=False)
 class BasisData:
-    """Per-mesh geometry and basis values shared by assembly and estimation.
+    """Per-mesh geometry and basis shared by assembly and estimation.
 
-    ``phi5``/``phi2`` hold the globally signed basis values at the degree-5
-    and degree-2 quadrature points; ``curl`` the (constant) signed curls.
+    ``whitney[t, e, i]`` is the vector multiplying barycentric coordinate
+    i in the globally signed basis function of local edge e of tet t;
+    ``curl`` holds the (constant) signed curls.
     """
 
     vols: np.ndarray  # (nt,) positive volumes
-    grads: np.ndarray  # (nt, 4, 3) barycentric gradients
     points: np.ndarray  # (nt, nq5, 3) degree-5 physical points
-    phi5: np.ndarray  # (nt, nq5, 6, 3)
-    phi2: np.ndarray  # (nt, nq2, 6, 3)
-    phibar: np.ndarray  # (nt, 6, 3) basis at centroid
+    whitney: np.ndarray  # (nt, 6, 4, 3)
     curl: np.ndarray  # (nt, 6, 3)
 
 
@@ -111,20 +115,13 @@ def _basis_data(mesh):
     grads = np.concatenate([-g123.sum(axis=1, keepdims=True), g123], axis=1)
 
     points = v[:, :1] + np.einsum("qj,tji->tqi", TET_P5_POINTS, J)
-    signs = mesh.tet_edge_signs.astype(float)
-
-    def signed_phi(bary):
-        phi = (
-            bary[None, :, _EA, None] * grads[:, None, _EB, :]
-            - bary[None, :, _EB, None] * grads[:, None, _EA, :]
-        )
-        return phi * signs[:, None, :, None]
-
-    phi5 = signed_phi(TET_P5_BARY)
-    phi2 = signed_phi(TET_P2_BARY)
-    phibar = 0.25 * (grads[:, _EB, :] - grads[:, _EA, :]) * signs[:, :, None]
-    curl = 2.0 * np.cross(grads[:, _EA, :], grads[:, _EB, :]) * signs[:, :, None]
-    return BasisData(vols, grads, points, phi5, phi2, phibar, curl)
+    signs = mesh.tet_edge_signs.astype(float)[:, :, None]
+    edges = np.arange(6)
+    whitney = np.zeros((mesh.num_tets, 6, 4, 3))
+    whitney[:, edges, _EA] = grads[:, _EB] * signs
+    whitney[:, edges, _EB] = -grads[:, _EA] * signs
+    curl = 2.0 * np.cross(grads[:, _EA, :], grads[:, _EB, :]) * signs
+    return BasisData(vols, points, whitney, curl)
 
 
 def _scatter(mesh, local, dofmap):
@@ -157,9 +154,8 @@ def assemble(mesh, coefficients, kind, dofmap=None):
         w = coefficients.nu * bd.vols
         local = np.einsum("t,tei,tfi->tef", w, bd.curl, bd.curl)
     elif kind in ("mass", "weighted_mass"):
-        local = np.einsum(
-            "q,tqei,tqfi->tef", TET_P2_WEIGHTS, bd.phi2, bd.phi2
-        ) * (6.0 * bd.vols)[:, None, None]
+        w = bd.whitney.reshape(-1, 6, 12)
+        local = (w @ _MASS_BARY) @ w.transpose(0, 2, 1) * bd.vols[:, None, None]
         if kind == "weighted_mass":
             local = local * coefficients.sigma[:, None, None]
     else:
@@ -173,7 +169,8 @@ def assemble_cross(mesh, weight):
     """Pairing matrix C[i, j] = int w phi_i . curl phi_j on all edges."""
     bd = basis_data(mesh)
     w = np.broadcast_to(np.asarray(weight, dtype=float), (mesh.num_tets,))
-    local = np.einsum("t,tei,tfi->tef", w * bd.vols, bd.phibar, bd.curl)
+    centroid = 0.25 * bd.whitney.sum(axis=2)
+    local = centroid @ bd.curl.transpose(0, 2, 1) * (w * bd.vols)[:, None, None]
     return _scatter(mesh, local, None)
 
 
@@ -185,7 +182,8 @@ def assemble_load(mesh, dofmap, f):
     bd = basis_data(mesh)
     nt, nq = bd.points.shape[:2]
     F = np.asarray(f(bd.points.reshape(-1, 3))).reshape(nt, nq, 3)
-    L = np.einsum("q,tqi,tqei->te", TET_P5_WEIGHTS, F, bd.phi5) * (6.0 * bd.vols)[:, None]
+    moments = (_MOMENTS_P5 @ F).reshape(nt, -1, 1)  # int lambda_i F / (6 vol)
+    L = (bd.whitney.reshape(-1, 6, 12) @ moments)[:, :, 0] * (6.0 * bd.vols)[:, None]
     full = np.zeros(mesh.num_edges)
     np.add.at(full, mesh.tet_edges, L)
     return full[dofmap.free] if dofmap is not None else full
@@ -207,7 +205,9 @@ def assemble_curl_load(mesh, values):
 def fe_values(mesh, coef):
     """FE field values at the degree-5 quadrature points, shape (nt, nq, 3)."""
     bd = basis_data(mesh)
-    return np.einsum("tqei,te->tqi", bd.phi5, np.asarray(coef)[mesh.tet_edges])
+    c = np.asarray(coef)[mesh.tet_edges][:, None, :]
+    vertex = (c @ bd.whitney.reshape(-1, 6, 12)).reshape(-1, 4, 3)  # sum lambda_i v_i
+    return TET_P5_BARY @ vertex
 
 
 def fe_curls(mesh, coef):

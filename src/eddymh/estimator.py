@@ -530,9 +530,10 @@ def minimize_majorant(
         Built from this ``mesh`` and ``coefficients`` (else ValueError);
         by default a new one.
     tol : absolute stop threshold on the decrease of the squared bound.
-        It is raised to four ulps of the current bound, and to FORM_NOISE
-        machine epsilons of the bound on the magnitudes of its terms, so
-        a bound that only moves by rounding stops.
+        It is raised to FORM_NOISE machine epsilons of the bound on the
+        magnitudes of its terms, so a bound that only moves by rounding
+        stops.  That floor is at least FORM_NOISE ulps of the bound
+        itself: each term magnitude is at least its clamped form.
 
     Returns a MajorantReport whose trace records, per iteration, the
     parameters in force during the flux solve and the bound they yield.
@@ -602,9 +603,7 @@ def minimize_majorant(
             TraceRow(iteration, time.perf_counter() - start, betas, value, eff)
         )
         noise = FORM_NOISE * np.finfo(float).eps * bound(scales, betas)
-        if previous is not None and abs(previous - value) <= max(
-            tol, 4.0 * np.spacing(value), noise
-        ):
+        if previous is not None and abs(previous - value) <= max(tol, noise):
             converged = True
             break
         previous = value

@@ -1,26 +1,14 @@
 """Quadrature rules on the reference tetrahedron and on time intervals.
 
 The reference tetrahedron is ``T = {x >= 0, y >= 0, z >= 0, x + y + z <= 1}``
-with volume 1/6.  Two spatial rules are used throughout the package: a
-four-point degree-2 rule for products of lowest-order edge functions, and a
-conical-product rule (degree 2n-1) for integrands that involve analytic data.
+with volume 1/6.  One spatial rule serves the package: the conical-product
+rule (degree 2n - 1) with n = 3, for integrands that involve analytic data.
+Products of lowest-order edge functions need no rule: their mass integrals
+have a closed form in the barycentric coordinates.
 """
 
 import numpy as np
 from scipy.special import roots_jacobi
-
-# Degree-2 rule, 4 interior points, barycentric coordinates.
-_A = 0.5854101966249685
-_B = 0.1381966011250105
-TET_P2_BARY = np.array(
-    [
-        [_A, _B, _B, _B],
-        [_B, _A, _B, _B],
-        [_B, _B, _A, _B],
-        [_B, _B, _B, _A],
-    ]
-)
-TET_P2_WEIGHTS = np.full(4, 0.25 / 6.0)  # sums to the reference volume 1/6
 
 
 def conical_tet_rule(n):

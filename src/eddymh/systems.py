@@ -228,7 +228,9 @@ def mode_factor(matrices, kw, alpha=None):
     """Factor of the SPD preconditioner block P at mode frequency ``kw``.
 
     P = K + kw Ms for the forward problem (``alpha`` None) and
-    P = M + sqrt(alpha) (K + kw Ms) for the optimality system.
+    P = M + sqrt(alpha) (K + kw Ms) for the optimality system.  The mean
+    modes factor theirs here too: K + Ms at kw = 1 (forward) and
+    M + sqrt(alpha) K at kw = 0 (optimality system).
     """
     P = matrices.K + kw * matrices.Msigma
     if alpha is not None:
@@ -287,7 +289,7 @@ def build_forward0(matrices, u0):
         rhs = u0.copy()
         gauge = None
 
-    lu = splu((K + Ms).tocsc())
+    lu = mode_factor(matrices, 1.0)
 
     def postprocess(y):
         if gauge is None:
@@ -348,7 +350,7 @@ def build_ocp0(matrices, alpha, yd0):
         raise ValueError("alpha must be positive")
     K, M = matrices.K, matrices.M
     A = _block_operator([[(1.0, M), (-1.0, K)], [(-1.0, K), (-1.0 / alpha, M)]], matrices.n)
-    lu = splu((M + np.sqrt(alpha) * K).tocsc())
+    lu = mode_factor(matrices, 0.0, alpha)
     rhs = np.concatenate([yd0, np.zeros(matrices.n)])
     return ModeSystem(0, "ocp0", A, lu, np.array([1.0, alpha]), ("y_c", "p_c"), rhs)
 

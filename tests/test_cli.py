@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eddymh.cli
+import eddymh.estimator
 from eddymh.cli import (
     EXIT_BOUND,
     EXIT_CHECK,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SOLVER,
+    MAX_FRIEDRICHS,
     MAX_MESH_N,
     MAX_TRUNCATION,
     ConfigError,
@@ -207,8 +209,7 @@ def test_removed_config_keys_are_unknown(tmp_path, capsys):
 @pytest.mark.parametrize(
     "fields, code",
     [
-        # cf^2 K swamps M in the flux matrices, which SuperLU finds singular
-        ({"friedrichs": 1e20}, EXIT_SOLVER),
+        ({"friedrichs": MAX_FRIEDRICHS}, EXIT_OK),
         ({"majorant_tol": 1e300}, EXIT_OK),
         ({"minres_tol": 1e300}, EXIT_OK),
         ({"preset": "trig", "period": 1e-5}, EXIT_OK),
@@ -217,7 +218,7 @@ def test_removed_config_keys_are_unknown(tmp_path, capsys):
         ({"mesh_n": 1, "truncation": MAX_TRUNCATION}, EXIT_OK),
     ],
     ids=[
-        "friedrichs-1e20",
+        "friedrichs-max",
         "majorant_tol-1e300",
         "minres_tol-1e300",
         "trig-period-1e-5",
@@ -226,20 +227,43 @@ def test_removed_config_keys_are_unknown(tmp_path, capsys):
         "mesh_n-1-truncation-max",
     ],
 )
-def test_extreme_valid_values_end_in_a_documented_exit_code(
-    tmp_path, capsys, command, fields, code
-):
+def test_extreme_valid_values_end_in_a_documented_exit_code(tmp_path, command, fields, code):
     config = _write_config(tmp_path, **fields)
     out = tmp_path / "out"
     assert main([command, "--config", config, "--out", str(out)]) == code
-    if code == EXIT_SOLVER:
-        err = capsys.readouterr().err
-        assert err.startswith("solver failure:") and err.count("\n") == 1
 
 
-def test_verify_reports_a_singular_flux_factor_as_a_failed_check(tmp_path, capsys):
-    config = _write_config(tmp_path, friedrichs=1e20)
-    assert main(["verify", "--config", config]) == EXIT_CHECK
+@pytest.mark.parametrize("command", ["forward", "ocp", "verify"])
+@pytest.mark.parametrize("friedrichs", [1e7, 1e155])
+def test_friedrichs_above_the_cap_is_a_config_error(tmp_path, capsys, command, friedrichs):
+    # cf^2 K swamps M in the flux matrices: SuperLU found them singular
+    # from 1e12, and from 1e150 products overflowed
+    config = _write_config(tmp_path, friedrichs=friedrichs)
+    out = tmp_path / "out"
+    argv = [command, "--config", config]
+    if command != "verify":
+        argv += ["--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert "friedrichs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _singular(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize("command", ["forward", "ocp"])
+def test_a_singular_flux_factor_is_a_solver_failure(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(eddymh.estimator, "splu", _singular)
+    argv = [command, "--config", _write_config(tmp_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure:") and "singular" in err and err.count("\n") == 1
+
+
+def test_verify_reports_a_singular_flux_factor_as_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr(eddymh.estimator, "splu", _singular)
+    assert main(["verify"]) == EXIT_CHECK
     rows = capsys.readouterr().out.splitlines()
     (row,) = [line for line in rows if line.startswith("guaranteed bound")]
     assert "FAIL" in row and "singular" in row

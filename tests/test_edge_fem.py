@@ -19,8 +19,8 @@ from eddymh.edge_fem import (
     interpolate_tangential,
 )
 from eddymh.mesh import LOCAL_EDGES, build_box_mesh, gradient_incidence
-from eddymh.quadrature import conical_tet_rule
-from fem_oracles import element_matrices, field_norms
+from eddymh.quadrature import TET_P5_BARY, TET_P5_WEIGHTS, conical_tet_rule
+from fem_oracles import element_matrices, field_norms, whitney_values
 
 REF_TET = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -234,13 +234,51 @@ def test_cross_pairing_oracle():
     v = rng.normal(size=mesh.num_edges)
     # u^T C v = int FE(u) . curl FE(v): recompute from point values
     vals_u = fe_values(mesh, u)
-    from eddymh.quadrature import TET_P5_WEIGHTS
-
     bd = basis_data(mesh)
     cu = fe_curls(mesh, v)[:, None, :]
     dots = np.einsum("tqi,tqi->tq", vals_u, np.broadcast_to(cu, vals_u.shape))
     expect = float((6.0 * bd.vols * (dots @ TET_P5_WEIGHTS)).sum())
     assert u @ (C @ v) == pytest.approx(expect, rel=1e-12)
+
+
+def test_kernels_match_vertex_only_oracles():
+    # every kernel on the barycentric vectors against basis values built
+    # per tet from its vertices, on a non-cubic box with per-tet data
+    mesh = build_box_mesh(2, (1.0, 0.7, 1.3))
+    rng = np.random.default_rng(13)
+    nt, ne = mesh.num_tets, mesh.num_edges
+    coeffs = Coefficients(rng.uniform(0.5, 2.0, nt), rng.uniform(0.5, 2.0, nt))
+    weight = rng.uniform(0.5, 2.0, nt)
+    f = lambda p: np.stack(
+        [np.sin(p[:, 1]) * p[:, 2], np.exp(p[:, 0]) * p[:, 1], np.cos(p[:, 0] + p[:, 2])],
+        axis=1,
+    )
+    coef = rng.normal(size=ne)
+    centroid = np.full((1, 4), 0.25)
+    matrices = {key: np.zeros((ne, ne)) for key in ("mass", "weighted_mass", "stiffness")}
+    cross, load = np.zeros((ne, ne)), np.zeros(ne)
+    values = np.zeros((nt, TET_P5_BARY.shape[0], 3))
+    for t in range(nt):
+        verts = mesh.vertices[mesh.tets[t]]
+        edges, s = mesh.tet_edges[t], mesh.tet_edge_signs[t]
+        local = element_matrices(verts, coeffs.sigma[t], coeffs.nu[t])
+        for key, m in zip(matrices, local):
+            matrices[key][np.ix_(edges, edges)] += np.outer(s, s) * m
+        vol, phi, curls = whitney_values(verts, np.vstack([centroid, TET_P5_BARY]))
+        phi = phi * s[None, :, None]
+        cross[np.ix_(edges, edges)] += weight[t] * vol * phi[0] @ (curls * s[:, None]).T
+        F = f(TET_P5_BARY @ verts)
+        load[edges] += 6.0 * vol * np.einsum("q,qi,qei->e", TET_P5_WEIGHTS, F, phi[1:])
+        values[t] = np.einsum("qei,e->qi", phi[1:], coef[edges])
+    for key, expect in matrices.items():
+        got = assemble(mesh, coeffs, key).toarray()
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * abs(expect).max())
+    got = assemble_cross(mesh, weight).toarray()
+    np.testing.assert_allclose(got, cross, rtol=0, atol=1e-12 * abs(cross).max())
+    got = assemble_load(mesh, None, f)
+    np.testing.assert_allclose(got, load, rtol=0, atol=1e-12 * abs(load).max())
+    got = fe_values(mesh, coef)
+    np.testing.assert_allclose(got, values, rtol=0, atol=1e-12 * abs(values).max())
 
 
 def test_basis_data_dies_with_its_mesh():

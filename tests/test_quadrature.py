@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from eddymh.quadrature import (
-    TET_P2_BARY,
-    TET_P2_WEIGHTS,
     TET_P5_POINTS,
     TET_P5_WEIGHTS,
     conical_tet_rule,
     gauss_time_rule,
 )
+from fem_oracles import TET_P2_BARY, TET_P2_WEIGHTS
 
 
 def monomial_integral(a, b, c):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import linalg
+from scipy.sparse.linalg import splu
 
 from eddymh.edge_fem import Coefficients, DofMap, assemble_load
 from eddymh.harmonics import PeriodSpec
@@ -399,6 +400,24 @@ def test_preconditioner_factors_are_spd():
     for kw in (0.0, 1.0, 2.0):
         S = (mats.K + max(kw, 1.0) * mats.Msigma).toarray()
         assert linalg.eigvalsh(S).min() > 0.0
+
+
+@pytest.mark.parametrize("kind", ["forward0", "ocp0"])
+def test_mean_mode_factors_are_the_mode_factor(kind):
+    # the mean modes factor K + Ms and M + sqrt(alpha) K through
+    # mode_factor; the factors must equal those of the matrices themselves
+    mesh, dof, mats = setup(3)
+    alpha = 0.3
+    if kind == "forward0":
+        lu = build_forward0(mats, divergence_free_load(mesh, dof)).lu
+        inline = splu((mats.K + mats.Msigma).tocsc())
+    else:
+        lu = build_ocp0(mats, alpha, np.ones(mats.n)).lu
+        inline = splu((mats.M + np.sqrt(alpha) * mats.K).tocsc())
+    np.testing.assert_array_equal(lu.perm_c, inline.perm_c)
+    for a, b in ((lu.L, inline.L), (lu.U, inline.U)):
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
 
 
 def test_iteration_counts_robust_in_alpha():
