@@ -21,6 +21,8 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -45,6 +47,7 @@ from .harmonics import friedrichs_constant
 from .mesh import build_box_mesh
 from .presets import (
     PROFILE_NORM_SQ,
+    available_cores,
     benchmark_errors,
     build_benchmark,
     full_field,
@@ -72,6 +75,9 @@ MAX_TRUNCATION = 64
 # of M fall below the rounding of cf^2 K once cf passes about h / sqrt(eps)
 # (3.4e6 at mesh_n 20), and SuperLU then finds them singular or overflows.
 MAX_FRIEDRICHS = 1e6
+
+# thread caps of the BLAS and OpenMP runtimes; report.json records those set
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 _PRESETS = {
     "paper-forward": ("forward", "exp"),
@@ -444,6 +450,15 @@ def _case_entry(case):
 def _write_report(out_dir, config, problem, cases):
     report = {
         "problem": problem,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cores": available_cores(),
+            "thread_variables": {
+                name: os.environ[name] for name in THREAD_VARIABLES if name in os.environ
+            },
+        },
         "config": dataclasses.asdict(config),
         "constants": [dataclasses.asdict(case.constants) for case in cases],
         "cases": [_case_entry(case) for case in cases],

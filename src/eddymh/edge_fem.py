@@ -37,16 +37,19 @@ class DofMap:
     """Mapping between all mesh edges and the free (interior) DOFs.
 
     Boundary edges carry the essential condition y x n = 0 and are removed by
-    row/column elimination.
+    row/column elimination.  The free DOFs are numbered in the mesh's
+    ``edge_order``, so every free-DOF matrix arrives in a fill-reducing
+    order for its factors.
     """
 
     num_edges: int
-    free: np.ndarray
+    free: np.ndarray  # free dof -> edge
     index: np.ndarray  # edge -> free dof, -1 if constrained
 
     @classmethod
     def from_mesh(cls, mesh):
-        free = np.setdiff1d(np.arange(mesh.num_edges), mesh.boundary_edges)
+        order = mesh.edge_order
+        free = order[~np.isin(order, mesh.boundary_edges)]
         index = np.full(mesh.num_edges, -1, dtype=np.int64)
         index[free] = np.arange(free.size)
         return cls(mesh.num_edges, free, index)
@@ -224,23 +227,6 @@ def integrate_squared(mesh, values, weight=None):
     if weight is not None:
         per_tet = per_tet * weight
     return float(per_tet.sum())
-
-
-def difference_norms(mesh, coef, f, curl_f):
-    """Norms of (f - FE field): returns (L2 norm^2, curl seminorm^2).
-
-    The FE parts are linear/constant per tet, so the degree-5 rule leaves
-    only the analytic-data approximation error.
-    """
-    bd = basis_data(mesh)
-    nt, nq = bd.points.shape[:2]
-    F = np.asarray(f(bd.points.reshape(-1, 3))).reshape(nt, nq, 3) - fe_values(mesh, coef)
-    norm_sq = integrate_squared(mesh, F)
-    C = np.asarray(curl_f(bd.points.reshape(-1, 3))).reshape(nt, nq, 3) - fe_curls(
-        mesh, coef
-    )[:, None, :]
-    curl_sq = integrate_squared(mesh, C)
-    return norm_sq, curl_sq
 
 
 def interpolate_tangential(mesh, f):

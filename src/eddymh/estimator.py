@@ -343,9 +343,10 @@ class FluxWorkspace:
     The flux fields carry no boundary condition, so every matrix lives
     on the full edge set: unit-weight curl-curl K and mass M, and
     C_nu[i, j] = int nu phi_i . curl phi_j for the flux-defect terms.
-    The workspace keeps one factor, of ``anchor K + M``, built by the
-    first solve that needs it (under a lock, so concurrent minimizations
-    share it) and replaced only by a solve with another anchor.
+    Every factor is taken in the mesh's ``edge_order``.  The workspace
+    keeps one factor, of ``anchor K + M``, built by the first solve that
+    needs it (under a lock, so concurrent minimizations share it) and
+    replaced only by a solve with another anchor.
     """
 
     mesh: object
@@ -353,7 +354,7 @@ class FluxWorkspace:
     stiffness: object
     mass: object
     pair_nu: object
-    _factor: tuple = field(default=None, init=False, repr=False)
+    _shared: tuple = field(default=None, init=False, repr=False)
     _lock: object = field(default_factory=threading.Lock, init=False, repr=False)
 
     @classmethod
@@ -363,6 +364,21 @@ class FluxWorkspace:
         mass = assemble(mesh, unit, "mass")
         pair_nu = assemble_cross(mesh, coefficients.nu)
         return cls(mesh, coefficients, stiffness, mass, pair_nu)
+
+    def factor(self, curl_weight, mass_weight):
+        """The solve map of (curl_weight K + mass_weight M), one SPD factor
+        of the matrix permuted into the mesh's ``edge_order``; it takes one
+        or more columns."""
+        o = self.mesh.edge_order
+        matrix = curl_weight * self.stiffness + mass_weight * self.mass
+        lu = splu(matrix[o][:, o].tocsc(), **SPD_SPLU)
+
+        def solve(rhs):
+            x = np.empty_like(rhs)
+            x[o] = lu.solve(rhs[o])
+            return x
+
+        return solve
 
     def solve(self, curl_weight, mass_weight, rhs_list, anchor, counts):
         """Solutions of (curl_weight K + mass_weight M) x = r, one per r.
@@ -381,15 +397,14 @@ class FluxWorkspace:
             x, steps = _pcg(matrix, lambda r: r / diagonal, rhs)
         elif anchor / FLUX_BAND <= curl_weight / mass_weight <= anchor * FLUX_BAND:
             with self._lock:
-                if self._factor is None or self._factor[0] != anchor:
-                    factored = (anchor * self.stiffness + self.mass).tocsc()
-                    self._factor = (anchor, splu(factored, **SPD_SPLU))
-                lu = self._factor[1]
-            x, steps = _pcg(matrix, lambda r: lu.solve(r) / mass_weight, rhs)
+                if self._shared is None or self._shared[0] != anchor:
+                    self._shared = (anchor, self.factor(anchor, 1.0))
+                shared = self._shared[1]
+            x, steps = _pcg(matrix, lambda r: shared(r) / mass_weight, rhs)
         counts["pcg_steps"] += steps
         if x is None:
             counts["direct_solves"] += 1
-            x = splu(matrix.tocsc(), **SPD_SPLU).solve(rhs)
+            x = self.factor(curl_weight, mass_weight)(rhs)
         return list(x.T)
 
 

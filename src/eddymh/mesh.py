@@ -16,6 +16,9 @@ from scipy import sparse
 LOCAL_EDGES = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 _LOCAL_FACES = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
 
+# largest part that nested_dissection leaves undivided
+DISSECTION_LEAF = 64
+
 
 @dataclass(eq=False)
 class TetMesh:
@@ -38,6 +41,10 @@ class TetMesh:
         Sorted indices of edges lying on a boundary face.
     boundary_nodes : ndarray
         Sorted indices of vertices lying on a boundary face.
+    edge_order : ndarray
+        All edges in nested dissection order (``nested_dissection`` of the
+        edge midpoints, edges coupled within a tet): the fill-reducing
+        order of every factor of an edge matrix.
     """
 
     vertices: np.ndarray
@@ -47,6 +54,7 @@ class TetMesh:
     tet_edge_signs: np.ndarray
     boundary_edges: np.ndarray
     boundary_nodes: np.ndarray
+    edge_order: np.ndarray
 
     @property
     def num_vertices(self):
@@ -147,6 +155,7 @@ def build_box_mesh(n, box=(1.0, 1.0, 1.0)):
 
     edges, tet_edges, signs = _edge_incidence(tets, vertices.shape[0])
     boundary_edges, boundary_nodes = _boundary_info(tets, edges, vertices.shape[0])
+    midpoints = vertices[edges].mean(axis=1)
     return TetMesh(
         vertices=vertices,
         tets=tets,
@@ -155,16 +164,80 @@ def build_box_mesh(n, box=(1.0, 1.0, 1.0)):
         tet_edge_signs=signs,
         boundary_edges=boundary_edges,
         boundary_nodes=boundary_nodes,
+        edge_order=nested_dissection(np.arange(edges.shape[0]), midpoints, tet_edges),
     )
 
 
-def gradient_incidence(mesh, interior_only=False):
+def nested_dissection(items, points, cells):
+    """Fill-reducing symmetric order of the unknowns ``items``.
+
+    ``items`` index the rows of ``points`` (positions, shape (p, 3)); the
+    items in one row of ``cells`` (an index table into the same rows:
+    ``tet_edges`` for edges, ``edges`` for nodes) are coupled.  Each part
+    is split along its longest coordinate axis at its median position.
+    Of the two layers of items coupled across that cut, the smaller is the
+    part's separator and is numbered after both halves, which are dissected
+    in turn down to DISSECTION_LEAF items.  A matrix with that coupling
+    pattern, permuted into the returned order, factors with little fill in
+    its natural order.  Every level of the dissection tree is one pass of
+    array operations over all its parts.
+    """
+    items = np.asarray(items)
+    index = np.full(points.shape[0], -1, dtype=np.int64)
+    index[items] = np.arange(items.size)
+    x = points[items]
+    local = index[cells]  # -1 (no item) reads the spare last slot of the arrays below
+    part = np.zeros(items.size, dtype=np.int64)  # -1 once numbered
+    levels = []  # per level and item: 0, 1 for the halves, 2 for the separator
+    while True:
+        live = np.flatnonzero(part >= 0)
+        leaf = np.bincount(part[live])[part[live]] <= DISSECTION_LEAF
+        part[live[leaf]] = -1
+        live = live[~leaf]
+        if live.size == 0:
+            break
+        live = live[np.argsort(part[live], kind="stable")]
+        first = np.diff(part[live], prepend=-1) != 0
+        starts, seg = np.flatnonzero(first), np.cumsum(first) - 1
+        xs = x[live]
+        extent = np.maximum.reduceat(xs, starts) - np.minimum.reduceat(xs, starts)
+        t = xs[np.arange(live.size), np.argmax(extent, axis=1)[seg]]
+        middle = starts + np.diff(np.append(starts, live.size)) // 2
+        median = t[np.lexsort((t, seg))[middle]][seg]
+        right = t >= median
+        # a part whose median is its least value splits just above it
+        low = (np.bincount(seg[~right], minlength=starts.size) == 0)[seg]
+        right[low] = t[low] > median[low]
+        # A cell holding live items of both sides (counted as 1 and 8) is
+        # cut, and each of its live items lies in a layer: live items of
+        # two parts never share a cell, since a separator takes a whole
+        # layer.
+        weight = np.zeros(items.size + 1, dtype=np.int8)
+        weight[live] = np.where(right, 8, 1)
+        held = sum(weight[column] for column in local.T)
+        cut = (held % 8 > 0) & (held >= 8)
+        layer = np.zeros(items.size + 1, dtype=bool)
+        layer[local[cut]] = True
+        layer = layer[live]
+        sizes = np.bincount(2 * seg[layer] + right[layer], minlength=2 * starts.size)
+        smaller = (sizes[1::2] < sizes[::2])[seg]  # the right layer is smaller
+        # a part all on one side (its points coincide) is numbered whole
+        whole = (np.bincount(seg[right], minlength=starts.size) == 0)[seg]
+        separator = (layer & (right == smaller)) | whole
+        level = np.zeros(items.size, dtype=np.int8)
+        level[live] = np.where(separator, 2, right)
+        levels.append(level)
+        part[live] = np.where(separator, -1, 2 * seg + right)
+    # stable: the items of a leaf or a separator keep their given order
+    return items[np.lexsort(levels[::-1])] if levels else items
+
+
+def gradient_incidence(mesh):
     """Node-to-edge incidence map realizing discrete gradients.
 
     For edge e = (a, b) the map has G[e, b] = +1 and G[e, a] = -1, so that
     (G psi)_e is the tangential edge value of the gradient of the nodal
-    function psi.  With ``interior_only`` the columns are restricted to
-    interior nodes (nodal functions vanishing on the boundary).
+    function psi.
 
     Returns
     -------
@@ -174,8 +247,4 @@ def gradient_incidence(mesh, interior_only=False):
     rows = np.repeat(np.arange(ne), 2)
     cols = mesh.edges.ravel()
     vals = np.tile(np.array([-1.0, 1.0]), ne)
-    G = sparse.csr_matrix((vals, (rows, cols)), shape=(ne, mesh.num_vertices))
-    if interior_only:
-        G = G[:, mesh.interior_nodes()]
-    return G
-
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(ne, mesh.num_vertices))

@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eddymh.edge_fem import Coefficients, DofMap, assemble_load, difference_norms
+from eddymh.edge_fem import (
+    Coefficients,
+    DofMap,
+    assemble_load,
+    basis_data,
+    fe_curls,
+    fe_values,
+    integrate_squared,
+)
 from eddymh.harmonics import FourierField, PeriodSpec
 from eddymh.mesh import build_box_mesh
 from eddymh.systems import (
@@ -263,7 +271,8 @@ def build_benchmark(kind, n, N, alpha=None, T=2.0 * math.pi, preset="exp"):
     )
 
 
-def _cores():
+def available_cores():
+    """Cores this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -306,7 +315,7 @@ def solve_benchmark(bench, tol=1e-10, maxit=2000):
     Results keep mode order; the first failing mode's exception is raised.
     """
     N = bench.period.N
-    with ThreadPoolExecutor(max_workers=min(N + 1, _cores())) as pool:
+    with ThreadPoolExecutor(max_workers=min(N + 1, available_cores())) as pool:
         mean = pool.submit(_solve_one_mode, bench, 0, None, tol, maxit)
         # Factored here rather than in a worker: a worker thread keeps its
         # heap high-water mark resident, and factoring in one raised the
@@ -380,6 +389,11 @@ def error_breakdown(bench, field, exact):
     """
     mesh, dofmap, period = bench.mesh, bench.dofmap, bench.period
     T, omega = period.T, period.omega
+    # the profile and its curl at the degree-5 points, scaled per member
+    points = basis_data(mesh).points
+    values, curls = (
+        f(points.reshape(-1, 3)).reshape(points.shape) for f in (profile, profile_curl)
+    )
     semi_modes = []
     norm_modes = []
     for k in range(period.N + 1):
@@ -388,14 +402,11 @@ def error_breakdown(bench, field, exact):
         l2 = 0.0
         curl = 0.0
         for amp, coef in members:
-            dl2, dcurl = difference_norms(
-                mesh,
-                dofmap.extend(coef),
-                lambda p, a=float(amp): a * profile(p),
-                lambda p, a=float(amp): a * profile_curl(p),
+            coef = dofmap.extend(coef)
+            l2 += integrate_squared(mesh, float(amp) * values - fe_values(mesh, coef))
+            curl += integrate_squared(
+                mesh, float(amp) * curls - fe_curls(mesh, coef)[:, None, :]
             )
-            l2 += dl2
-            curl += dcurl
         weight = T if k == 0 else 0.5 * T
         semi_modes.append(weight * (k * omega * l2 + curl))
         norm_modes.append(weight * ((1.0 + k * omega) * l2 + curl))

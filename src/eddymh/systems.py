@@ -18,9 +18,14 @@ with the factor, one column per block.
 The singular mean mode of the forward problem is gauged on the interior
 nodal potentials: the load is projected onto range(K) with a factor of
 G^T G and the solution onto the M_sigma-orthogonal complement of the
-gradients with a factor of G^T M_sigma G.  Both are sparse SPD factors
-with the symmetric ordering of ``SPD_SPLU``, so no nodal matrix is ever
+gradients with a factor of G^T M_sigma G, so no nodal matrix is ever
 held dense.
+
+Every factor here is an SPD factor in one fill-reducing order, the nested
+dissection of its unknowns (``mesh.nested_dissection``): the free edges
+are numbered in the mesh's ``edge_order`` (``DofMap``) and the columns of
+G are the interior nodes in their own dissection order, so each matrix is
+factored by ``SPD_SPLU`` as it stands.
 """
 
 import time
@@ -32,14 +37,15 @@ from scipy.sparse.linalg import splu
 
 from eddymh.edge_fem import assemble
 from eddymh.harmonics import FourierField
-from eddymh.mesh import gradient_incidence
+from eddymh.mesh import gradient_incidence, nested_dissection
 
-# splu arguments for SPD matrices: symmetric fill-reducing ordering, no
-# pivoting.  The MINRES preconditioners keep the default COLAMD ordering:
-# for K + 2 Ms at n = 12 it filled 8.65M nnz(L+U) in 1.9 s and raised the
-# peak RSS by 65 MB; these arguments filled 5.00M, but took 2.5 s and 118 MB.
+# splu arguments for SPD matrices already in nested-dissection order: no
+# column ordering, no pivoting.  For K + 2 Ms at n = 12 this filled 3.22M
+# nnz(L+U) in 0.25 s, against 8.7M in 1.4 s with the default COLAMD order;
+# for the flux matrix cf^2 K + M, 4.1M in 0.36 s against 7.3M in 1.2 s
+# with MMD_AT_PLUS_A (one BLAS thread).
 SPD_SPLU = {
-    "permc_spec": "MMD_AT_PLUS_A",
+    "permc_spec": "NATURAL",
     "diag_pivot_thresh": 0.0,
     "options": {"SymmetricMode": True},
 }
@@ -52,8 +58,9 @@ CONSISTENCY_TOL = 1e-9
 class SystemMatrices:
     """Free-DOF mass, weighted mass, and stiffness plus the gauge map.
 
-    ``G`` maps interior-node potentials to free-edge gradient fields and is
-    empty (zero columns) when the mesh has no interior nodes.
+    ``G`` maps interior-node potentials, in the nested dissection order of
+    the interior nodes, to free-edge gradient fields and is empty (zero
+    columns) when the mesh has no interior nodes.
     """
 
     M: object
@@ -66,7 +73,8 @@ class SystemMatrices:
         M = assemble(mesh, coefficients, "mass", dofmap)
         Ms = assemble(mesh, coefficients, "weighted_mass", dofmap)
         K = assemble(mesh, coefficients, "stiffness", dofmap)
-        G = gradient_incidence(mesh, interior_only=True)[dofmap.free]
+        nodes = nested_dissection(mesh.interior_nodes(), mesh.vertices, mesh.edges)
+        G = gradient_incidence(mesh)[dofmap.free][:, nodes]
         return cls(M, Ms, K, G)
 
     @property
@@ -231,11 +239,17 @@ def mode_factor(matrices, kw, alpha=None):
     P = M + sqrt(alpha) (K + kw Ms) for the optimality system.  The mean
     modes factor theirs here too: K + Ms at kw = 1 (forward) and
     M + sqrt(alpha) K at kw = 0 (optimality system).
+
+    A forward kw below sqrt(eps) times the largest diagonal ratio of K to
+    Ms is raised to that floor: K + kw Ms is then numerically K, which is
+    singular (its kernel is the gradients), and the unpivoted factor meets
+    a zero pivot.  Only the preconditioner changes; MINRES keeps kw.
     """
-    P = matrices.K + kw * matrices.Msigma
+    K, Ms = matrices.K, matrices.Msigma
     if alpha is not None:
-        P = matrices.M + np.sqrt(alpha) * P
-    return splu(P.tocsc())
+        return splu((matrices.M + np.sqrt(alpha) * (K + kw * Ms)).tocsc(), **SPD_SPLU)
+    floor = np.sqrt(np.finfo(float).eps) * np.max(K.diagonal() / Ms.diagonal())
+    return splu((K + max(kw, floor) * Ms).tocsc(), **SPD_SPLU)
 
 
 def build_forward(k, matrices, period, u_c, u_s=None, lu=None):

@@ -2,12 +2,13 @@
 
 Local element matrices from their defining integrals, and field norms by
 direct quadrature, independent of the assembly the package uses: every
-basis value here is built from the tet's vertices.
+basis value here is built from the tet's vertices.  ``difference_norms``
+measures an FE field against an analytic one by the degree-5 rule.
 """
 
 import numpy as np
 
-from eddymh.edge_fem import basis_data, fe_curls, integrate_squared
+from eddymh.edge_fem import basis_data, fe_curls, fe_values, integrate_squared
 from eddymh.mesh import LOCAL_EDGES
 
 _EA = LOCAL_EDGES[:, 0]
@@ -120,4 +121,21 @@ def field_norms(mesh, field, weight=None, curl=None):
     norm_sq = float((6.0 * abs(vol) * w * (sq @ TET_P2_WEIGHTS)).sum())
     cv = fe_curls(mesh, coef)
     curl_sq = float((w * abs(vol) * np.einsum("ti,ti->t", cv, cv)).sum())
+    return norm_sq, curl_sq
+
+
+def difference_norms(mesh, coef, f, curl_f):
+    """Norms of (f - FE field): returns (L2 norm^2, curl seminorm^2).
+
+    The FE parts are linear/constant per tet, so the degree-5 rule leaves
+    only the analytic-data approximation error.
+    """
+    bd = basis_data(mesh)
+    nt, nq = bd.points.shape[:2]
+    F = np.asarray(f(bd.points.reshape(-1, 3))).reshape(nt, nq, 3) - fe_values(mesh, coef)
+    norm_sq = integrate_squared(mesh, F)
+    C = np.asarray(curl_f(bd.points.reshape(-1, 3))).reshape(nt, nq, 3) - fe_curls(
+        mesh, coef
+    )[:, None, :]
+    curl_sq = integrate_squared(mesh, C)
     return norm_sq, curl_sq

@@ -4,10 +4,13 @@ import csv
 import dataclasses
 import json
 import math
+import platform
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -233,6 +236,15 @@ def test_extreme_valid_values_end_in_a_documented_exit_code(tmp_path, command, f
     assert main([command, "--config", config, "--out", str(out)]) == code
 
 
+@pytest.mark.parametrize("mesh_n", [2, 4, 5])
+def test_a_vanishing_frequency_leaves_the_forward_factor_regular(tmp_path, mesh_n):
+    # at period 1e300 the forward preconditioner K + kw Ms is numerically the
+    # singular K; factored as it stands it met a zero pivot (exit 3)
+    config = _write_config(tmp_path, preset="trig", period=1e300, mesh_n=mesh_n)
+    out = tmp_path / "out"
+    assert main(["forward", "--config", config, "--out", str(out)]) == EXIT_OK
+
+
 @pytest.mark.parametrize("command", ["forward", "ocp", "verify"])
 @pytest.mark.parametrize("friedrichs", [1e7, 1e155])
 def test_friedrichs_above_the_cap_is_a_config_error(tmp_path, capsys, command, friedrichs):
@@ -302,6 +314,21 @@ def test_many_harmonics_forward_run(tmp_path):
     assert main(["forward", "--config", config, "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["bound_satisfied"] and report["cases"][0]["total"]["tail"] > 0.0
+
+
+def test_report_records_its_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    config = _write_config(tmp_path, mesh_n=1, truncation=1)
+    out = tmp_path / "out"
+    assert main(["forward", "--config", config, "--out", str(out)]) == EXIT_OK
+    env = json.loads((out / "report.json").read_text(encoding="utf-8"))["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "cores", "thread_variables"}
+    assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+    assert env["python"] == platform.python_version()
+    assert isinstance(env["cores"], int) and env["cores"] >= 1
+    assert env["thread_variables"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert "MKL_NUM_THREADS" not in env["thread_variables"]
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from eddymh.mesh import (
     _edge_incidence,
     build_box_mesh,
     gradient_incidence,
+    nested_dissection,
 )
 
 
@@ -164,7 +165,7 @@ def test_gradient_incidence_oracle():
     expect = psi[mesh.edges[:, 1]] - psi[mesh.edges[:, 0]]
     np.testing.assert_allclose(g, expect, rtol=0, atol=0)
     np.testing.assert_array_equal(G @ np.ones(mesh.num_vertices), 0.0)
-    Gi = gradient_incidence(mesh, interior_only=True)
+    Gi = gradient_incidence(mesh)[:, mesh.interior_nodes()]
     assert Gi.shape == (mesh.num_edges, 1)
 
 
@@ -174,3 +175,26 @@ def test_invalid_arguments():
     with pytest.raises(ValueError):
         build_box_mesh(1, (1.0, -1.0, 1.0))
 
+
+def test_nested_dissection_numbers_each_separator_after_its_halves():
+    # a path of 200 items on a line: the cut at the median leaves item 99
+    # (the left of the two one-item layers) as the first separator, so it
+    # comes last, after the halves 0..98 and 100..199, which are cut at
+    # items 48 and 149 in turn
+    points = np.column_stack([np.arange(200.0), np.zeros(200), np.zeros(200)])
+    cells = np.column_stack([np.arange(199), np.arange(1, 200)])
+    order = nested_dissection(np.arange(200), points, cells)
+    np.testing.assert_array_equal(np.sort(order), np.arange(200))
+    assert order[-1] == 99
+    position = np.argsort(order)
+    assert position[:99].max() < position[100:].min()
+    for first, separator, last in ((0, 48, 98), (100, 149, 199)):
+        assert position[separator] == position[first : last + 1].max()
+
+
+def test_nested_dissection_of_degenerate_parts():
+    # no items; and more than a leaf of coincident points, numbered as given
+    cells = np.column_stack([np.arange(99), np.arange(1, 100)])
+    assert nested_dissection(np.arange(0), np.zeros((100, 3)), cells).size == 0
+    order = nested_dissection(np.arange(100), np.zeros((100, 3)), cells)
+    np.testing.assert_array_equal(order, np.arange(100))

@@ -28,7 +28,7 @@ from eddymh.presets import (
     solve_benchmark,
 )
 from eddymh.systems import build_forward, build_ocp, solve_mode
-from fem_oracles import field_norms
+from fem_oracles import difference_norms, field_norms
 
 TWO_PI = 2.0 * math.pi
 E2PI = math.exp(TWO_PI) - 1.0
@@ -254,6 +254,31 @@ def test_ocp_benchmark_solves_both_fields():
     for err in errs.values():
         assert math.isfinite(err.semi_total) and err.semi_total > 0.0
         assert err.norm_total >= err.semi_total - 1e-12
+
+
+@pytest.mark.parametrize("kind, alpha", [("forward", None), ("ocp", 0.7)])
+def test_error_modes_match_the_difference_norms_oracle(kind, alpha):
+    # each member's squared errors integrated against its own scaled
+    # evaluators, as the oracle does, give the same mode contributions
+    bench = build_benchmark(kind, 3, 2, alpha=alpha)
+    fields, _ = solve_benchmark(bench)
+    errors = benchmark_errors(bench, fields)
+    omega, T = bench.period.omega, bench.period.T
+    exact = {"state": bench.exact_state, "adjoint": bench.exact_adjoint}
+    for name, err in errors.items():
+        for k, semi in enumerate(err.semi_modes):
+            members = list(zip(exact[name](k), fields[name].mode(k)))[: 1 if k == 0 else 2]
+            l2 = curl = 0.0
+            for amp, coef in members:
+                dl2, dcurl = difference_norms(
+                    bench.mesh,
+                    bench.dofmap.extend(coef),
+                    lambda p, a=float(amp): a * profile(p),
+                    lambda p, a=float(amp): a * profile_curl(p),
+                )
+                l2, curl = l2 + dl2, curl + dcurl
+            expected = (T if k == 0 else 0.5 * T) * (k * omega * l2 + curl)
+            assert semi == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize(

@@ -5,16 +5,20 @@ import pytest
 from scipy import linalg
 from scipy.sparse.linalg import splu
 
+from eddymh import estimator
 from eddymh.edge_fem import Coefficients, DofMap, assemble_load
-from eddymh.harmonics import PeriodSpec
-from eddymh.mesh import build_box_mesh
+from eddymh.estimator import FluxWorkspace
+from eddymh.harmonics import PeriodSpec, friedrichs_constant
+from eddymh.mesh import build_box_mesh, gradient_incidence, nested_dissection
 from eddymh.systems import (
+    SPD_SPLU,
     SystemMatrices,
     build_forward,
     build_forward0,
     build_ocp,
     build_ocp0,
     minres,
+    mode_factor,
     reconstruct,
     solve_mode,
 )
@@ -405,19 +409,102 @@ def test_preconditioner_factors_are_spd():
 @pytest.mark.parametrize("kind", ["forward0", "ocp0"])
 def test_mean_mode_factors_are_the_mode_factor(kind):
     # the mean modes factor K + Ms and M + sqrt(alpha) K through
-    # mode_factor; the factors must equal those of the matrices themselves
+    # mode_factor; the factors must equal the SPD factors of the matrices
+    # themselves, which arrive in the free DOFs' dissection order
     mesh, dof, mats = setup(3)
     alpha = 0.3
     if kind == "forward0":
         lu = build_forward0(mats, divergence_free_load(mesh, dof)).lu
-        inline = splu((mats.K + mats.Msigma).tocsc())
+        inline = splu((mats.K + mats.Msigma).tocsc(), **SPD_SPLU)
     else:
         lu = build_ocp0(mats, alpha, np.ones(mats.n)).lu
-        inline = splu((mats.M + np.sqrt(alpha) * mats.K).tocsc())
+        inline = splu((mats.M + np.sqrt(alpha) * mats.K).tocsc(), **SPD_SPLU)
     np.testing.assert_array_equal(lu.perm_c, inline.perm_c)
     for a, b in ((lu.L, inline.L), (lu.U, inline.U)):
         for attr in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
+
+
+DISSECTED_MESHES = [(n, (1.0, 1.0, 1.0)) for n in (1, 2, 3, 5, 6)] + [(4, (0.5, 2.0, 3.0))]
+
+
+def _assert_solves(solve, matrix, rhs):
+    # the factor's solution against a dense solve, to 1e-12 relative
+    expected = linalg.solve(matrix.toarray(), rhs, assume_a="pos")
+    assert np.linalg.norm(solve(rhs) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n, box", DISSECTED_MESHES)
+def test_every_spd_factor_solves_its_matrix_in_dissection_order(n, box):
+    mesh = build_box_mesh(n, box)
+    dof = DofMap.from_mesh(mesh)
+    co = Coefficients.constant(mesh, 2.0, 0.5)
+    mats = SystemMatrices.from_mesh(mesh, co, dof)
+    ws = FluxWorkspace.from_mesh(mesh, co)
+    edges = np.arange(mesh.num_edges)
+    free = np.setdiff1d(edges, mesh.boundary_edges)
+    nodes = mesh.interior_nodes()
+    node_order = nested_dissection(nodes, mesh.vertices, mesh.edges)
+    for order, items in ((dof.free, free), (mesh.edge_order, edges), (node_order, nodes)):
+        np.testing.assert_array_equal(np.sort(order), items)
+    if nodes.size:
+        assert abs(mats.G - gradient_incidence(mesh)[dof.free][:, node_order]).max() == 0.0
+
+    rng = np.random.default_rng(n)
+    b = rng.standard_normal((mats.n, 2))
+    K, M, Ms, G = mats.K, mats.M, mats.Msigma, mats.G
+    alpha = 0.3
+    period = PeriodSpec(TWO_PI, 1)
+    forward0 = build_forward0(mats, divergence_free_load(mesh, dof))
+    factors = [
+        (mode_factor(mats, 2.0), K + 2.0 * Ms),
+        (mode_factor(mats, 2.0, alpha), M + np.sqrt(alpha) * (K + 2.0 * Ms)),
+        (build_forward(1, mats, period, b[:, 0], b[:, 1]).lu, K + Ms),
+        (build_ocp(1, mats, alpha, period, b[:, 0], b[:, 1]).lu, M + np.sqrt(alpha) * (K + Ms)),
+        (forward0.lu, K + Ms),
+        (build_ocp0(mats, alpha, b[:, 0]).lu, M + np.sqrt(alpha) * K),
+    ]
+    for lu, matrix in factors:
+        _assert_solves(lu.solve, matrix, b)
+    if G.shape[1]:
+        # the gauge factors on the interior nodes in G's column order: the
+        # load projection's G^T G as build_forward0 factors it, and
+        # G^T Ms G through the gauge of the solution
+        GtG = (G.T @ G).tocsc()
+        _assert_solves(splu(GtG, **SPD_SPLU).solve, GtG, G.T @ b)
+        y = b[:, 0]
+        w = linalg.solve((G.T @ Ms @ G).toarray(), G.T @ (Ms @ y), assume_a="pos")
+        gauged = y - forward0.postprocess(y)
+        assert np.linalg.norm(gauged - G @ w) <= 1e-12 * np.linalg.norm(G @ w)
+
+    cf2 = friedrichs_constant() ** 2
+    flux_rhs = rng.standard_normal((mesh.num_edges, 3))
+    for curl_weight, mass_weight in ((cf2, 1.0), (2.0, 1.0)):
+        matrix = curl_weight * ws.stiffness + mass_weight * ws.mass
+        _assert_solves(ws.factor(curl_weight, mass_weight), matrix, flux_rhs)
+    # the one-shot fallback, through the solve that takes it
+    counts = {"pcg_steps": 0, "direct_solves": 0}
+    got = ws.solve(2.0, 1.0, list(flux_rhs.T), cf2, counts)
+    assert counts["direct_solves"] == 1
+    _assert_solves(lambda r: np.array(got).T, ws.stiffness * 2.0 + ws.mass, flux_rhs)
+
+
+def test_dissection_keeps_the_n8_factors_small(monkeypatch):
+    # fill at n = 8 in the dissection order: 0.52M (mode) and 0.79M (flux)
+    # nnz(L+U), against 1.13M (COLAMD) and 1.10M (MMD_AT_PLUS_A) before
+    mesh, _, mats = setup(8)
+    assert mode_factor(mats, 2.0).nnz <= 650_000
+    fills = []
+
+    def recording_splu(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        fills.append(lu.nnz)
+        return lu
+
+    monkeypatch.setattr(estimator, "splu", recording_splu)
+    ws = FluxWorkspace.from_mesh(mesh, Coefficients.constant(mesh))
+    ws.factor(friedrichs_constant() ** 2, 1.0)
+    assert fills and fills[0] <= 850_000
 
 
 def test_iteration_counts_robust_in_alpha():
