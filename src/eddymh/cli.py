@@ -75,6 +75,13 @@ MAX_TRUNCATION = 64
 # of M fall below the rounding of cf^2 K once cf passes about h / sqrt(eps)
 # (3.4e6 at mesh_n 20), and SuperLU then finds them singular or overflows.
 MAX_FRIEDRICHS = 1e6
+# Accepted alphas.  The ocp lower constant carries min(alpha, 1 / alpha),
+# so i_eff grows like its inverse square: about 1e25 at either end
+# (mesh_n 2, 6 and 12, truncation 2), and inf from about 1e-150, where the
+# square underflows.  Far above, M + sqrt(alpha)(K + kw Ms) is numerically
+# the singular sqrt(alpha) K, and MINRES fails (1e40) or the factor does
+# (1e30 at mesh_n 6).
+ALPHA_RANGE = (1e-12, 1e12)
 
 # thread caps of the BLAS and OpenMP runtimes; report.json records those set
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -180,10 +187,10 @@ class RunConfig:
             isinstance(alphas, (list, tuple))
             and alphas
             and all(_is_positive_number(a) for a in alphas)
+            and ALPHA_RANGE[0] <= min(alphas) <= max(alphas) <= ALPHA_RANGE[1]
         ):
-            raise ConfigError(
-                "alphas must be a non-empty list of finite positive numbers"
-            )
+            low, high = ALPHA_RANGE
+            raise ConfigError(f"alphas must be a non-empty list of numbers in [{low:g}, {high:g}]")
         self.alphas = tuple(float(a) for a in alphas)
         if self.friedrichs is not None and not (
             _is_positive_number(self.friedrichs) and self.friedrichs <= MAX_FRIEDRICHS
@@ -276,12 +283,9 @@ def _run_case(config, bench, workspace, tail, verbose):
     loads = mode_evaluators(bench)
     label = "" if bench.alpha is None else f" alpha={bench.alpha:g}"
 
-    def bound(what, piece, **part):
-        value = piece(errors["state"])
-        if adjoint is not None:
-            value += piece(errors["adjoint"])
-        # the efficiency index divides by it; at extreme periods the
-        # exact and discrete mode amplitudes both vanish
+    def bound(what, value, **part):
+        # the efficiency index divides by the exact error value; at extreme
+        # periods the exact and discrete mode amplitudes both vanish
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigError(
                 f"the {what} exact error is {value!r} at period "
@@ -319,10 +323,10 @@ def _run_case(config, bench, workspace, tail, verbose):
 
     start = time.perf_counter()
     reports = [
-        bound(f"mode {k}", lambda e, k=k: e.semi_modes[k], mode=k)
+        bound(f"mode {k}", sum(e.semi_modes[k] for e in errors.values()), mode=k)
         for k in range(config.truncation + 1)
     ]
-    total = bound("total", lambda e: e.semi_total, tail=tail)
+    total = bound("total", sum(e.semi_total for e in errors.values()), tail=tail)
     estimate_time = time.perf_counter() - start
     return CaseResult(
         bench.alpha, constants, stats, errors, reports, total, estimate_time

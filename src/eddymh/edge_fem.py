@@ -37,9 +37,8 @@ class DofMap:
     """Mapping between all mesh edges and the free (interior) DOFs.
 
     Boundary edges carry the essential condition y x n = 0 and are removed by
-    row/column elimination.  The free DOFs are numbered in the mesh's
-    ``edge_order``, so every free-DOF matrix arrives in a fill-reducing
-    order for its factors.
+    row/column elimination.  The free DOFs keep the mesh's edge order, so
+    every free-DOF matrix arrives in the fill-reducing order of its factors.
     """
 
     num_edges: int
@@ -48,8 +47,7 @@ class DofMap:
 
     @classmethod
     def from_mesh(cls, mesh):
-        order = mesh.edge_order
-        free = order[~np.isin(order, mesh.boundary_edges)]
+        free = np.setdiff1d(np.arange(mesh.num_edges), mesh.boundary_edges)
         index = np.full(mesh.num_edges, -1, dtype=np.int64)
         index[free] = np.arange(free.size)
         return cls(mesh.num_edges, free, index)

@@ -210,17 +210,31 @@ def residuals_ocp(mesh, coefficients, period, k, eta, zeta, tau, rho, desired, a
 
 def _weights(betas, cf):
     # the bound's weight of each residual key (R1's also weighs the tail)
-    # at the forward beta or the ocp (beta1, beta2, beta3)
+    # at the forward beta or the ocp (beta1, beta2, beta3), equation
+    # residuals first: _bound sums the terms in this order
     cf2 = cf * cf
     if len(betas) == 1:
         return {"r1": cf2 * (1.0 + betas[0]), "r2": (1.0 + betas[0]) / betas[0]}
     b1, b2, b3 = betas
     return {
         "r1": cf2 * (1.0 + b1) * (1.0 + b2),
-        "r2": (1.0 + b1) * (1.0 + b2) / b2,
         "r3": cf2 * (1.0 + b1) * (1.0 + b3) / b1,
+        "r2": (1.0 + b1) * (1.0 + b2) / b2,
         "r4": (1.0 + b1) * (1.0 + b3) / (b1 * b3),
     }
+
+
+def _bound(sums, betas, constants, tail):
+    # The squared majorant: the residual sums keyed like _KEYS (a forward
+    # bound reads r1 and r2) in their _weights, over lower^2; the data
+    # remainder tail joins R1's group.
+    if not all(b > 0.0 for b in betas):
+        raise ValueError("Young parameters must be positive")
+    w = _weights(betas, constants.friedrichs)
+    if min(tail, *(sums[key] for key in w)) < 0.0:
+        raise ValueError("residual norms must be nonnegative")
+    terms = (w[key] * (sums[key] + tail if key == "r1" else sums[key]) for key in w)
+    return sum(terms) / constants.lower**2
 
 
 def majorant_forward(r1_sq, r2_sq, constants, beta, tail=0.0):
@@ -228,12 +242,7 @@ def majorant_forward(r1_sq, r2_sq, constants, beta, tail=0.0):
 
     The data remainder ``tail`` joins the equation-residual group.
     """
-    if min(r1_sq, r2_sq, tail) < 0.0:
-        raise ValueError("residual norms must be nonnegative")
-    if not beta > 0.0:
-        raise ValueError("beta must be positive")
-    w = _weights((beta,), constants.friedrichs)
-    return (w["r1"] * (r1_sq + tail) + w["r2"] * r2_sq) / constants.lower**2
+    return _bound({"r1": r1_sq, "r2": r2_sq}, (beta,), constants, tail)
 
 
 def majorant_ocp(r1_sq, r2_sq, r3_sq, r4_sq, constants, betas, tail=0.0):
@@ -243,14 +252,7 @@ def majorant_ocp(r1_sq, r2_sq, r3_sq, r4_sq, constants, betas, tail=0.0):
     balances the state group against the adjoint group; beta2 and beta3
     balance each group's equation residual against its flux defect.
     """
-    if min(r1_sq, r2_sq, r3_sq, r4_sq, tail) < 0.0:
-        raise ValueError("residual norms must be nonnegative")
-    b1, b2, b3 = betas
-    if not (b1 > 0.0 and b2 > 0.0 and b3 > 0.0):
-        raise ValueError("Young parameters must be positive")
-    w = _weights(betas, constants.friedrichs)
-    val = w["r1"] * (r1_sq + tail) + w["r3"] * r3_sq + w["r2"] * r2_sq + w["r4"] * r4_sq
-    return val / constants.lower**2
+    return _bound(dict(zip(_KEYS, (r1_sq, r2_sq, r3_sq, r4_sq))), betas, constants, tail)
 
 
 def _balance(a, b):
@@ -343,10 +345,11 @@ class FluxWorkspace:
     The flux fields carry no boundary condition, so every matrix lives
     on the full edge set: unit-weight curl-curl K and mass M, and
     C_nu[i, j] = int nu phi_i . curl phi_j for the flux-defect terms.
-    Every factor is taken in the mesh's ``edge_order``.  The workspace
-    keeps one factor, of ``anchor K + M``, built by the first solve that
-    needs it (under a lock, so concurrent minimizations share it) and
-    replaced only by a solve with another anchor.
+    Every matrix is assembled in the mesh's fill-reducing edge order and
+    factored as it stands.  The workspace keeps one factor, of
+    ``anchor K + M``, built by the first solve that needs it (under a
+    lock, so concurrent minimizations share it) and replaced only by a
+    solve with another anchor.
     """
 
     mesh: object
@@ -366,19 +369,10 @@ class FluxWorkspace:
         return cls(mesh, coefficients, stiffness, mass, pair_nu)
 
     def factor(self, curl_weight, mass_weight):
-        """The solve map of (curl_weight K + mass_weight M), one SPD factor
-        of the matrix permuted into the mesh's ``edge_order``; it takes one
-        or more columns."""
-        o = self.mesh.edge_order
+        """The solve map of (curl_weight K + mass_weight M), one SPD factor;
+        it takes one or more columns."""
         matrix = curl_weight * self.stiffness + mass_weight * self.mass
-        lu = splu(matrix[o][:, o].tocsc(), **SPD_SPLU)
-
-        def solve(rhs):
-            x = np.empty_like(rhs)
-            x[o] = lu.solve(rhs[o])
-            return x
-
-        return solve
+        return splu(matrix.tocsc(), **SPD_SPLU).solve
 
     def solve(self, curl_weight, mass_weight, rhs_list, anchor, counts):
         """Solutions of (curl_weight K + mass_weight M) x = r, one per r.
@@ -593,14 +587,6 @@ def minimize_majorant(
         for k in mode_list
     ]
     pairs = _pairs(ws, period, kind, modes, alpha)
-
-    def bound(sums, betas):
-        if kind == "forward":
-            return majorant_forward(
-                sums["r1"], sums["r2"], constants, beta=betas[0], tail=tail
-            )
-        return majorant_ocp(*(sums[key] for key in _KEYS), constants, betas, tail=tail)
-
     betas = (1.0,) if kind == "forward" else (1.0, 1.0, 1.0)
     counts = {"pcg_steps": 0, "direct_solves": 0}
     trace = []
@@ -612,12 +598,12 @@ def minimize_majorant(
         pair_weights = [(w[eq], w[de]) for eq, de in _PAIR_KEYS[kind]]
         fluxes = _flux_step(ws, pairs, pair_weights if iteration > 1 else None, cf, counts)
         sums, scales = _form_sums(ws, kind, pairs, fluxes, time_weights)
-        value = bound(sums, betas)
+        value = _bound(sums, betas, constants, tail)
         eff = None if error_sq is None else efficiency_index(value, error_sq)
         trace.append(
             TraceRow(iteration, time.perf_counter() - start, betas, value, eff)
         )
-        noise = FORM_NOISE * np.finfo(float).eps * bound(scales, betas)
+        noise = FORM_NOISE * np.finfo(float).eps * _bound(scales, betas, constants, tail)
         if previous is not None and abs(previous - value) <= max(tol, noise):
             converged = True
             break
@@ -639,7 +625,7 @@ def minimize_majorant(
             res = residuals_ocp(mesh, coefficients, period, k, eta, zeta, *flux, f, alpha)
         for key, r in zip(_KEYS, res):
             sums[key] += w * r
-    value = bound(sums, final.betas)
+    value = _bound(sums, final.betas, constants, tail)
     form_gap = abs(final.majorant_sq - value) / value if value else final.majorant_sq
     final.majorant_sq = value
     final.efficiency = None if error_sq is None else efficiency_index(value, error_sq)

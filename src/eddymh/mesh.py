@@ -30,8 +30,10 @@ class TetMesh:
     tets : ndarray, shape (nt, 4)
         Vertex indices, ordered so every tet has positive signed volume.
     edges : ndarray, shape (ne, 2)
-        Global edges as vertex pairs (a, b) with a < b, lexicographically
-        sorted.
+        Global edges as vertex pairs (a, b) with a < b, numbered in nested
+        dissection order (``nested_dissection`` of the edge midpoints,
+        edges coupled within a tet), so every edge matrix is assembled in
+        the fill-reducing order of its factors.
     tet_edges : ndarray, shape (nt, 6)
         Global edge index of each local edge (local pairs ``LOCAL_EDGES``).
     tet_edge_signs : ndarray, shape (nt, 6)
@@ -41,10 +43,6 @@ class TetMesh:
         Sorted indices of edges lying on a boundary face.
     boundary_nodes : ndarray
         Sorted indices of vertices lying on a boundary face.
-    edge_order : ndarray
-        All edges in nested dissection order (``nested_dissection`` of the
-        edge midpoints, edges coupled within a tet): the fill-reducing
-        order of every factor of an edge matrix.
     """
 
     vertices: np.ndarray
@@ -54,7 +52,6 @@ class TetMesh:
     tet_edge_signs: np.ndarray
     boundary_edges: np.ndarray
     boundary_nodes: np.ndarray
-    edge_order: np.ndarray
 
     @property
     def num_vertices(self):
@@ -98,8 +95,7 @@ def _boundary_info(tets, edges, num_vertices):
     face_pairs = np.sort(bfaces[:, [[0, 1], [0, 2], [1, 2]]], axis=2).reshape(-1, 2)
     bkeys = np.unique(face_pairs[:, 0].astype(np.int64) * num_vertices + face_pairs[:, 1])
     edge_keys = edges[:, 0].astype(np.int64) * num_vertices + edges[:, 1]
-    boundary_edges = np.searchsorted(edge_keys, bkeys)
-    return boundary_edges, boundary_nodes
+    return np.flatnonzero(np.isin(edge_keys, bkeys)), boundary_nodes
 
 
 def build_box_mesh(n, box=(1.0, 1.0, 1.0)):
@@ -154,8 +150,9 @@ def build_box_mesh(n, box=(1.0, 1.0, 1.0)):
     tets = (lowest[:, None, None] + offsets[None]).reshape(-1, 4)
 
     edges, tet_edges, signs = _edge_incidence(tets, vertices.shape[0])
+    order = nested_dissection(np.arange(edges.shape[0]), vertices[edges].mean(axis=1), tet_edges)
+    edges, tet_edges = edges[order], np.argsort(order)[tet_edges]
     boundary_edges, boundary_nodes = _boundary_info(tets, edges, vertices.shape[0])
-    midpoints = vertices[edges].mean(axis=1)
     return TetMesh(
         vertices=vertices,
         tets=tets,
@@ -164,7 +161,6 @@ def build_box_mesh(n, box=(1.0, 1.0, 1.0)):
         tet_edge_signs=signs,
         boundary_edges=boundary_edges,
         boundary_nodes=boundary_nodes,
-        edge_order=nested_dissection(np.arange(edges.shape[0]), midpoints, tet_edges),
     )
 
 

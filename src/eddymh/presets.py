@@ -68,68 +68,46 @@ def profile_curl(points):
     return out
 
 
-def _exp_trig_modes(k, which):
-    """Fourier coefficients of e^t sin t or e^t cos t on (0, 2 pi).
+def _exp_data(a, b):
+    """Fourier modes and time profile of e^t (a cos t + b sin t) on (0, 2 pi).
 
-    Closed forms follow from int_0^{2pi} e^t e^{i m t} dt = (e^{2pi}-1)/(1-im)
-    for integer m.  Vectorized over k; k = 0 returns (mean, 0).
+    The modes' closed forms follow from int_0^{2pi} e^t e^{i m t} dt =
+    (e^{2pi}-1)/(1-im) for integer m, so they agree with the profile to
+    rounding, as the Parseval tail of the bound needs.  The modes are
+    vectorized over k; k = 0 returns (mean, 0).
     """
-    k = np.asarray(k, dtype=float)
     scale = math.expm1(2.0 * math.pi) / (2.0 * math.pi)
-    a = 1.0 - k
-    b = 1.0 + k
-    fa, fb = a / (1.0 + a * a), b / (1.0 + b * b)
-    ga, gb = 1.0 / (1.0 + a * a), 1.0 / (1.0 + b * b)
-    if which == "sin":
-        c = -scale * (fa + fb)
-        s = scale * (ga - gb)
-    elif which == "cos":
-        c = scale * (ga + gb)
-        s = scale * (fa - fb)
-    else:
-        raise ValueError(f"unknown profile {which!r}")
-    # the k >= 1 normalization 2/T doubles the k = 0 value
-    c = np.where(k == 0, 0.5 * c, c)
-    s = np.where(k == 0, 0.0, s)
-    return c, s
+
+    def modes(k):
+        k = np.asarray(k, dtype=float)
+        lo, hi = 1.0 - k, 1.0 + k
+        flo, fhi = lo / (1.0 + lo * lo), hi / (1.0 + hi * hi)
+        glo, ghi = 1.0 / (1.0 + lo * lo), 1.0 / (1.0 + hi * hi)
+        c = scale * (a * (glo + ghi) - b * (flo + fhi))
+        s = scale * (a * (flo - fhi) + b * (glo - ghi))
+        # the k >= 1 normalization 2/T doubles the k = 0 value
+        return np.where(k == 0, 0.5 * c, c), np.where(k == 0, 0.0, s)
+
+    def profile(t):
+        t = np.asarray(t, dtype=float)
+        return np.exp(t) * (a * np.cos(t) + b * np.sin(t))
+
+    return modes, profile
 
 
-def exp_sin_modes(k):
-    """Coefficients (c_k, s_k) of e^t sin t on (0, 2 pi); vectorized."""
-    return _exp_trig_modes(k, "sin")
+# Coefficients (c_k, s_k) of e^t cos t and e^t sin t; vectorized.
+exp_cos_modes, _ = _exp_data(1.0, 0.0)
+exp_sin_modes, _ = _exp_data(0.0, 1.0)
 
-
-def exp_cos_modes(k):
-    """Coefficients (c_k, s_k) of e^t cos t on (0, 2 pi); vectorized."""
-    return _exp_trig_modes(k, "cos")
-
-
-def forward_data_modes(k):
-    """Modes of g = e^t (cos t + (2 pi^2 + 1) sin t), the forward load scale."""
-    cc, cs = exp_cos_modes(k)
-    sc, ss = exp_sin_modes(k)
-    m = EIGENVALUE + 1.0
-    return cc + m * sc, cs + m * ss
-
-
-def forward_data_profile(t):
-    t = np.asarray(t, dtype=float)
-    return np.exp(t) * (np.cos(t) + (EIGENVALUE + 1.0) * np.sin(t))
-
-
-def ocp_data_modes(k):
-    """Modes of d = e^t (sin t + (2 pi^2+1)((2 pi^2+1) sin t - cos t))."""
-    m = EIGENVALUE + 1.0
-    sc, ss = exp_sin_modes(k)
-    cc, cs = exp_cos_modes(k)
-    w = 1.0 + m * m
-    return w * sc - m * cc, w * ss - m * cs
-
-
-def ocp_data_profile(t):
-    t = np.asarray(t, dtype=float)
-    m = EIGENVALUE + 1.0
-    return np.exp(t) * (np.sin(t) + m * (m * np.sin(t) - np.cos(t)))
+# The exponential data sets, as (modes, time profile) per problem kind: the
+# forward load scale g = e^t (cos t + (2 pi^2 + 1) sin t) and the desired
+# state d = e^t (sin t + (2 pi^2 + 1)((2 pi^2 + 1) sin t - cos t)).
+_EXP_DATA = {
+    "forward": _exp_data(1.0, EIGENVALUE + 1.0),
+    "ocp": _exp_data(-(EIGENVALUE + 1.0), 1.0 + (EIGENVALUE + 1.0) ** 2),
+}
+forward_data_modes, forward_data_profile = _EXP_DATA["forward"]
+ocp_data_modes, ocp_data_profile = _EXP_DATA["ocp"]
 
 
 def _scaled_operator(k, omega):
@@ -187,13 +165,6 @@ def _trig_profile(t, omega):
     for kk, (cv, sv) in TRIG_AMPLITUDES.items():
         out = out + cv * np.cos(kk * omega * t) + sv * np.sin(kk * omega * t)
     return out
-
-
-# exponential data sets: (modes, time profile) per problem kind
-_EXP_DATA = {
-    "forward": (forward_data_modes, forward_data_profile),
-    "ocp": (ocp_data_modes, ocp_data_profile),
-}
 
 
 @dataclass(eq=False)

@@ -22,10 +22,10 @@ gradients with a factor of G^T M_sigma G, so no nodal matrix is ever
 held dense.
 
 Every factor here is an SPD factor in one fill-reducing order, the nested
-dissection of its unknowns (``mesh.nested_dissection``): the free edges
-are numbered in the mesh's ``edge_order`` (``DofMap``) and the columns of
-G are the interior nodes in their own dissection order, so each matrix is
-factored by ``SPD_SPLU`` as it stands.
+dissection of its unknowns (``mesh.nested_dissection``): the mesh numbers
+its edges in that order, which the free DOFs keep (``DofMap``), and the
+columns of G are the interior nodes in their own dissection order, so each
+matrix is factored by ``SPD_SPLU`` as it stands.
 """
 
 import time

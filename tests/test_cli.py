@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import eddymh.cli
 import eddymh.estimator
 from eddymh.cli import (
+    ALPHA_RANGE,
     EXIT_BOUND,
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -304,6 +305,26 @@ def test_oversized_truncation_is_a_config_error(tmp_path, monkeypatch, truncatio
     out = tmp_path / "out"
     assert main(["forward", "--config", config, "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-150, 1e40])
+def test_alpha_outside_its_range_is_a_config_error(tmp_path, alpha):
+    # once accepted: 1e-300 ended in a traceback, 1e-150 reported an
+    # infinite i_eff as a satisfied bound, and at 1e40 MINRES stalled (exit 3)
+    config = _write_config(tmp_path, alphas=[alpha])
+    out = tmp_path / "out"
+    assert main(["ocp", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ALPHA_RANGE)
+def test_alpha_range_endpoints_give_a_finite_bound(tmp_path, alpha):
+    config = _write_config(tmp_path, mesh_n=2, truncation=2, alphas=[alpha])
+    out = tmp_path / "out"
+    assert main(["ocp", "--config", config, "--out", str(out)]) == EXIT_OK
+    case = json.loads((out / "report.json").read_text(encoding="utf-8"))["cases"][0]
+    for report in case["modes"] + [case["total"]]:
+        assert 1.0 <= report["i_eff"] < math.inf
 
 
 def test_many_harmonics_forward_run(tmp_path):

@@ -149,11 +149,30 @@ def test_boundary_independent_of_tet_order():
     mesh = build_box_mesh(2)
     rng = np.random.default_rng(7)
     perm = rng.permutation(mesh.num_tets)
+    edges, _, _ = _edge_incidence(mesh.tets, mesh.num_vertices)
+    be, bn = _boundary_info(mesh.tets, edges, mesh.num_vertices)
     edges2, _, _ = _edge_incidence(mesh.tets[perm], mesh.num_vertices)
     be2, bn2 = _boundary_info(mesh.tets[perm], edges2, mesh.num_vertices)
-    np.testing.assert_array_equal(edges2, mesh.edges)
-    np.testing.assert_array_equal(be2, mesh.boundary_edges)
+    np.testing.assert_array_equal(edges2, edges)
+    np.testing.assert_array_equal(be2, be)
+    np.testing.assert_array_equal(bn2, bn)
     np.testing.assert_array_equal(bn2, mesh.boundary_nodes)
+    # the mesh holds the same edges and boundary edges in its own numbering
+    key = {pair: e for e, pair in enumerate(map(tuple, mesh.edges.tolist()))}
+    assert sorted(key) == list(map(tuple, edges.tolist()))
+    np.testing.assert_array_equal(
+        np.sort([key[tuple(pair)] for pair in edges[be].tolist()]), mesh.boundary_edges
+    )
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_edges_are_numbered_in_dissection_order(n):
+    # the mesh's edge numbering is the fixed point of the dissection of its
+    # edges, so every edge matrix arrives in a fill-reducing order
+    mesh = build_box_mesh(n, (0.5, 2.0, 3.0))
+    midpoints = mesh.vertices[mesh.edges].mean(axis=1)
+    edges = np.arange(mesh.num_edges)
+    np.testing.assert_array_equal(nested_dissection(edges, midpoints, mesh.tet_edges), edges)
 
 
 def test_gradient_incidence_oracle():
