@@ -316,8 +316,7 @@ def _run_case(config, bench, workspace, tail, verbose):
             print(
                 f"  {what}{label}: majorant_sq={report.majorant_sq:.6e} "
                 f"i_eff={report.efficiency:.3f} ({len(report.trace)} iterations, "
-                f"{report.pcg_steps} pcg steps, {report.direct_solves} direct solves, "
-                f"form gap {report.form_gap:.1e})"
+                f"{report.pcg_steps} pcg steps, {report.direct_solves} direct solves)"
             )
         return report
 
@@ -422,7 +421,6 @@ def _report_entry(report):
         "converged": bool(report.converged),
         "pcg_steps": report.pcg_steps,
         "direct_solves": report.direct_solves,
-        "form_gap": float(report.form_gap),
         "tail": float(report.tail),
         "residual_sums": {k: float(v) for k, v in report.residual_sums.items()},
     }
@@ -634,8 +632,8 @@ def _check_friedrichs_eigenvalue():
 
 
 def _check_residual_forms():
-    # the quadratic forms that steer the majorant iterations against the
-    # quadrature of the reported bound, on random fields and fluxes
+    # the per-tet sums that steer and report the majorant against the
+    # reference quadrature, on random fields and fluxes
     bench = build_benchmark("ocp", 2, 1, alpha=0.5)
     mesh, co, period = bench.mesh, bench.coefficients, bench.period
     ws = FluxWorkspace.from_mesh(mesh, co)

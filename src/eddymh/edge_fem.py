@@ -190,25 +190,25 @@ def assemble_load(mesh, dofmap, f):
     return full[dofmap.free] if dofmap is not None else full
 
 
-def assemble_curl_load(mesh, values):
-    """Load vector (f, curl phi_e) on all edges by the degree-5 rule.
-
-    ``values`` holds f sampled like ``fe_values``, shape (nt, nq, 3).
+def assemble_curl_load(mesh, means):
+    """Load vector (f, curl phi_e) on all edges from the tet means of f,
+    shape (nt, 3): curl phi_e is constant per tet, so they are all it reads.
     """
     bd = basis_data(mesh)
-    Fint = np.einsum("q,tqi->ti", TET_P5_WEIGHTS, values) * (6.0 * bd.vols)[:, None]
-    L = np.einsum("tei,ti->te", bd.curl, Fint)
-    full = np.zeros(mesh.num_edges)
-    np.add.at(full, mesh.tet_edges, L)
-    return full
+    L = np.einsum("tei,ti->te", bd.curl, means * bd.vols[:, None])
+    return np.bincount(mesh.tet_edges.ravel(), weights=L.ravel(), minlength=mesh.num_edges)
+
+
+def fe_vertex_values(mesh, coef):
+    """FE field values v_i at the tet vertices, (nt, 4, 3): sum_i lambda_i v_i."""
+    bd = basis_data(mesh)
+    c = np.asarray(coef)[mesh.tet_edges][:, None, :]
+    return (c @ bd.whitney.reshape(-1, 6, 12)).reshape(-1, 4, 3)
 
 
 def fe_values(mesh, coef):
     """FE field values at the degree-5 quadrature points, shape (nt, nq, 3)."""
-    bd = basis_data(mesh)
-    c = np.asarray(coef)[mesh.tet_edges][:, None, :]
-    vertex = (c @ bd.whitney.reshape(-1, 6, 12)).reshape(-1, 4, 3)  # sum lambda_i v_i
-    return TET_P5_BARY @ vertex
+    return TET_P5_BARY @ fe_vertex_values(mesh, coef)
 
 
 def fe_curls(mesh, coef):
@@ -217,14 +217,11 @@ def fe_curls(mesh, coef):
     return np.einsum("tei,te->ti", bd.curl, np.asarray(coef)[mesh.tet_edges])
 
 
-def integrate_squared(mesh, values, weight=None):
+def integrate_squared(mesh, values):
     """Integrate |values|^2 over the mesh; values sampled like ``fe_values``."""
     bd = basis_data(mesh)
     sq = np.einsum("tqi,tqi->tq", values, values)
-    per_tet = 6.0 * bd.vols * (sq @ TET_P5_WEIGHTS)
-    if weight is not None:
-        per_tet = per_tet * weight
-    return float(per_tet.sum())
+    return float((6.0 * bd.vols * (sq @ TET_P5_WEIGHTS)).sum())
 
 
 def interpolate_tangential(mesh, f):

@@ -16,7 +16,9 @@ flux defect t - nu curl phi.  The forward problem is one pair (eta, tau,
 the data); the control problem two: the state (eta, tau, -zeta / alpha)
 and the adjoint (zeta, rho, eta - y_d), which runs backwards in time
 (kw -> -kw).  Each pair is defined once, by point values that both the
-quadrature and the quadratic forms read; one flux step serves them all.
+reference quadrature and the minimization read; one flux step serves them
+all.  Per-tet closed forms of the residuals, exact under the degree-5 rule
+and free of cancellation, both steer the minimization and report its bound.
 
 As any flux gives a valid bound, an inexact flux solve can only make it
 less sharp, never wrong: every flux matrix ``a K + b M`` is solved by
@@ -40,9 +42,11 @@ from eddymh.edge_fem import (
     basis_data,
     fe_curls,
     fe_values,
+    fe_vertex_values,
     integrate_squared,
 )
 from eddymh.harmonics import friedrichs_constant
+from eddymh.quadrature import TET_P5_WEIGHTS
 from eddymh.systems import SPD_SPLU
 
 BETA_MIN = 1e-8
@@ -55,7 +59,7 @@ _KEYS = ("r1", "r2", "r3", "r4")  # residual sums; forward runs leave r3, r4 zer
 _PAIR_KEYS = {"forward": (("r1", "r2"),), "ocp": (("r3", "r2"), ("r1", "r4"))}
 
 # The majorant stop accepts a change within FORM_NOISE epsilons of the bound
-# on its quadratic forms' term magnitudes: the forms' rounding noise.
+# on its residual sums' term magnitudes: the sums' rounding noise.
 FORM_NOISE = 4.0
 
 # PCG off the shared factor serves flux matrices whose ratio a / b lies
@@ -383,7 +387,7 @@ class FluxWorkspace:
         is factored once and the factor dropped.  ``counts`` accumulates
         "pcg_steps" and "direct_solves".
         """
-        rhs = np.array(rhs_list).T
+        rhs = np.asarray(rhs_list).T
         matrix = curl_weight * self.stiffness + mass_weight * self.mass
         x, steps = None, 0
         if curl_weight == 0.0:
@@ -405,50 +409,57 @@ class FluxWorkspace:
 def _pairs(ws, period, kind, modes, alpha):
     # Every pair of every mode as its flux-independent terms, laid out
     # pairs[p][j] for pair p (of _PAIR_KEYS[kind]) of mode j: per member
-    # b_eq = (G, curl phi_e) and b_def = C_nu phi, then the residuals at
-    # zero flux |G|^2 and |nu curl phi|^2, all from _pair_points.
+    # the field phi, the tet means Gbar of G and the oscillation
+    # |G - Gbar|^2, all from _pair_points.
     pairs = [[] for _ in _PAIR_KEYS[kind]]
     for k, eta, zeta, f in modes:
         points = _pair_points(ws.mesh, ws.coefficients, period, k, eta, zeta, f, alpha)
         for pair, members in zip(pairs, points):
-            b_eq, b_def, eq, defect = [], [], 0.0, 0.0
-            for phi, g, d in members:
-                b_eq.append(assemble_curl_load(ws.mesh, g))
-                b_def.append(ws.pair_nu @ phi)
-                eq += integrate_squared(ws.mesh, g)
-                defect += integrate_squared(ws.mesh, np.broadcast_to(d[:, None, :], g.shape))
-            pair.append((b_eq, b_def, eq, defect))
+            pair.append([])
+            for phi, g, _ in members:
+                mean = 6.0 * np.einsum("q,tqi->ti", TET_P5_WEIGHTS, g)
+                osc = integrate_squared(ws.mesh, g - mean[:, None, :])
+                pair[-1].append((phi, mean, osc))
     return pairs
 
 
-def _form_sums(ws, kind, pairs, fluxes, time_weights):
-    # Residual sums keyed like MajorantReport.residual_sums from each pair's
-    # quadratic forms in its flux t, |G|^2 - 2 b_eq.t + t'K t and
-    # t'M t - 2 b_def.t + |nu curl phi|^2 (clamped at zero; K and M are
-    # exact for Nedelec fields), weighted by time_weights[j] for mode j;
-    # then the same sums of the forms' term magnitudes.
+def _dot(a, b):
+    return np.einsum("ti,ti->t", a, b)
+
+
+def _residual_sums(ws, kind, pairs, fluxes, time_weights):
+    # Residual sums keyed like MajorantReport.residual_sums, weighted by
+    # time_weights[j] for mode j, each per tet in closed form: curl t is
+    # constant, so |G - curl t|^2 integrates to |G - Gbar|^2 + vol |Gbar -
+    # curl t|^2; t - nu curl phi is linear, so its square integrates to
+    # vol/20 (|sum v_i|^2 + sum |v_i|^2) over its vertex values v_i.  Then
+    # the sums of the terms' magnitudes, the scale of their rounding: per
+    # tet |a|^2 + |b|^2 + 2 |a.b| = |a - b|^2 + 4 max(a.b, 0) for a - b.
+    mesh, vols = ws.mesh, basis_data(ws.mesh).vols
     sums, scales = dict.fromkeys(_KEYS, 0.0), dict.fromkeys(_KEYS, 0.0)
-    for pair_keys, pair, flux in zip(_PAIR_KEYS[kind], pairs, fluxes):
-        for (b_eq, b_def, *zero), t, w in zip(pair, flux, time_weights):
-            forms, magnitudes = list(zero), list(zero)
-            for x, g, d in zip(t, b_eq, b_def):
-                for j, (a, b) in enumerate(((ws.stiffness, g), (ws.mass, d))):
-                    square, cross = x @ (a @ x), 2.0 * (b @ x)
-                    forms[j] += square - cross
-                    magnitudes[j] += square + abs(cross)
-            for key, form, magnitude in zip(pair_keys, forms, magnitudes):
-                sums[key] += w * max(form, 0.0)
-                scales[key] += w * magnitude
+    for (eq_key, def_key), pair, flux in zip(_PAIR_KEYS[kind], pairs, fluxes):
+        for members, t, w in zip(pair, flux, time_weights):
+            for (phi, mean, osc), x in zip(members, t):
+                curl = fe_curls(mesh, x)
+                d = ws.coefficients.nu[:, None] * fe_curls(mesh, phi)
+                v = fe_vertex_values(mesh, x) - d[:, None, :]
+                total = np.einsum("tvi->ti", v)
+                eq = osc + vols @ _dot(mean - curl, mean - curl)
+                defect = vols @ (_dot(total, total) + np.einsum("tvi,tvi->t", v, v)) / 20.0
+                sums[eq_key] += w * eq
+                sums[def_key] += w * defect
+                scales[eq_key] += w * (eq + 4.0 * (vols @ np.maximum(_dot(mean, curl), 0.0)))
+                scales[def_key] += w * (defect + vols @ np.maximum(_dot(total + 4.0 * d, d), 0.0))
     return sums, scales
 
 
 def residual_forms(workspace, period, k, eta, fluxes, load, zeta=None, alpha=None):
     """``residuals_forward`` (fluxes = (tau,)) or, given zeta and alpha,
-    ``residuals_ocp`` (fluxes = (tau, rho)) from the quadratic forms that
-    steer minimize_majorant, equal to them up to rounding."""
+    ``residuals_ocp`` (fluxes = (tau, rho)) from the per-tet closed forms
+    that steer and report minimize_majorant, equal to them up to rounding."""
     kind = "forward" if zeta is None else "ocp"
     pairs = _pairs(workspace, period, kind, [(k, eta, zeta, load)], alpha)
-    sums, _ = _form_sums(workspace, kind, pairs, [[t] for t in fluxes], [1.0])
+    sums, _ = _residual_sums(workspace, kind, pairs, [[t] for t in fluxes], [1.0])
     return tuple(sums[key] for key in _KEYS[: 2 * len(pairs)])
 
 
@@ -457,19 +468,23 @@ def _flux_step(ws, pairs, weights, cf, counts):
     # for the mean mode, whose sine member the residuals ignore.  Pair p
     # takes one multi-column solve of the normal equations of
     # w_eq |G - curl t|^2 + w_def |t - nu curl phi|^2, with its Young
-    # weights weights[p] = (w_eq, w_def); without weights (iteration 1),
+    # weights weights[p] = (w_eq, w_def), right-hand side
+    # w_eq (G, curl phi_e) + w_def C_nu phi; without weights (iteration 1),
     # one mass solve projects nu curl (field) for every pair.
+    def rhs(pair, w_eq, w_def):  # one array, which solve does not copy
+        return np.array([
+            w_eq * assemble_curl_load(ws.mesh, mean) + w_def * (ws.pair_nu @ phi)
+            for members in pair for phi, mean, _ in members
+        ])
+
     if weights is None:
-        solves = [(0.0, 1.0, [d for pair in pairs for terms in pair for d in terms[1]])]
+        solves = [(0.0, 1.0, np.concatenate([rhs(pair, 0.0, 1.0) for pair in pairs]))]
     else:
-        solves = [
-            (w_eq, w_def, [w_eq * g + w_def * d for terms in pair for g, d in zip(*terms[:2])])
-            for pair, (w_eq, w_def) in zip(pairs, weights)
-        ]
+        solves = [(*w, rhs(pair, *w)) for pair, w in zip(pairs, weights)]
     solutions = iter([
-        x for w_k, w_m, rhs in solves for x in ws.solve(w_k, w_m, rhs, cf * cf, counts)
+        x for w_k, w_m, b in solves for x in ws.solve(w_k, w_m, b, cf * cf, counts)
     ])
-    return [[tuple(next(solutions) for _ in terms[0]) for terms in pair] for pair in pairs]
+    return [[tuple(next(solutions) for _ in members) for members in pair] for pair in pairs]
 
 
 @dataclass(eq=False)
@@ -498,7 +513,6 @@ class MajorantReport:
     converged: bool
     pcg_steps: int
     direct_solves: int
-    form_gap: float  # last quadratic-form bound against the reported, relative
     trace: list = field(default_factory=list)
 
 
@@ -542,7 +556,7 @@ def minimize_majorant(
         It is raised to FORM_NOISE machine epsilons of the bound on the
         magnitudes of its terms, so a bound that only moves by rounding
         stops.  That floor is at least FORM_NOISE ulps of the bound
-        itself: each term magnitude is at least its clamped form.
+        itself: each term magnitude is at least its residual.
 
     Returns a MajorantReport whose trace records, per iteration, the
     parameters in force during the flux solve and the bound they yield.
@@ -554,11 +568,11 @@ def minimize_majorant(
     shares the flux matrix of each pair, so an iteration runs one
     multi-column solve per pair (the mass matrix of iteration 1 once
     for all pairs).  The report counts the PCG steps and the one-shot
-    factorizations those solves took.  The iterations are steered by the
-    residuals' quadratic forms in the fluxes, built once per call; as
-    those may cancel, the reported bound, its residual sums and the last
-    trace row are the quadrature of the last fluxes.  A Friedrichs
-    constant below the mesh's bounding box's raises ValueError.
+    factorizations those solves took.  Each iteration sums every
+    residual per tet in closed form, exact under the degree-5 rule, from
+    terms built once per call; the reported bound, its residual sums and
+    betas are the last trace row as computed.  A Friedrichs constant
+    below the mesh's bounding box's raises ValueError.
     """
     if kind not in ("forward", "ocp"):
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -597,7 +611,8 @@ def minimize_majorant(
         w = _weights(betas, cf)
         pair_weights = [(w[eq], w[de]) for eq, de in _PAIR_KEYS[kind]]
         fluxes = _flux_step(ws, pairs, pair_weights if iteration > 1 else None, cf, counts)
-        sums, scales = _form_sums(ws, kind, pairs, fluxes, time_weights)
+        sums, scales = _residual_sums(ws, kind, pairs, fluxes, time_weights)
+        del fluxes  # the next step's solves need the room
         value = _bound(sums, betas, constants, tail)
         eff = None if error_sq is None else efficiency_index(value, error_sq)
         trace.append(
@@ -616,31 +631,17 @@ def minimize_majorant(
             betas = (beta_optimal(cf * cf * groups[0], groups[1]),)
         else:
             betas = beta_optimal_ocp(*groups, cf)
-    start, final = time.perf_counter(), trace[-1]  # the bound by quadrature
-    sums = dict.fromkeys(_KEYS, 0.0)
-    for (k, eta, zeta, f), w, *flux in zip(modes, time_weights, *fluxes):
-        if kind == "forward":
-            res = residuals_forward(mesh, coefficients, period, k, eta, *flux, f)
-        else:
-            res = residuals_ocp(mesh, coefficients, period, k, eta, zeta, *flux, f, alpha)
-        for key, r in zip(_KEYS, res):
-            sums[key] += w * r
-    value = _bound(sums, final.betas, constants, tail)
-    form_gap = abs(final.majorant_sq - value) / value if value else final.majorant_sq
-    final.majorant_sq = value
-    final.efficiency = None if error_sq is None else efficiency_index(value, error_sq)
-    final.wall_time += time.perf_counter() - start
+    final = trace[-1]
     return MajorantReport(
         kind=kind,
         mode=mode,
         betas=final.betas,
         residual_sums=sums,
         tail=tail,
-        majorant_sq=value,
+        majorant_sq=final.majorant_sq,
         error_sq=error_sq,
         efficiency=final.efficiency,
         converged=converged,
-        form_gap=form_gap,
         trace=trace,
         **counts,
     )

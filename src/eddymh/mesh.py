@@ -86,14 +86,17 @@ def _boundary_info(tets, edges, num_vertices):
     """Boundary nodes and edges via face incidence counting.
 
     A triangular face belonging to exactly one tet is a boundary face; an
-    edge is boundary iff it lies on at least one such face.
+    edge is boundary iff it lies on at least one such face.  A sorted face
+    (a, b, c) is keyed by r nv + c, with r the rank of a nv + b: unlike
+    (a nv + b) nv + c, that key cannot overflow int64.
     """
-    faces = np.sort(tets[:, _LOCAL_FACES], axis=2).reshape(-1, 3)
-    unique_faces, counts = np.unique(faces, axis=0, return_counts=True)
-    bfaces = unique_faces[counts == 1]
+    faces = np.sort(tets[:, _LOCAL_FACES], axis=2).reshape(-1, 3).astype(np.int64)
+    _, rank = np.unique(faces[:, 0] * num_vertices + faces[:, 1], return_inverse=True)
+    keys = rank * num_vertices + faces[:, 2]
+    _, face, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    bfaces = faces[counts[face] == 1]
     boundary_nodes = np.unique(bfaces)
-    face_pairs = np.sort(bfaces[:, [[0, 1], [0, 2], [1, 2]]], axis=2).reshape(-1, 2)
-    bkeys = np.unique(face_pairs[:, 0].astype(np.int64) * num_vertices + face_pairs[:, 1])
+    bkeys = np.unique(bfaces[:, [0, 0, 1]] * num_vertices + bfaces[:, [1, 2, 2]])
     edge_keys = edges[:, 0].astype(np.int64) * num_vertices + edges[:, 1]
     return np.flatnonzero(np.isin(edge_keys, bkeys)), boundary_nodes
 

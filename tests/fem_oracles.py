@@ -10,6 +10,7 @@ import numpy as np
 
 from eddymh.edge_fem import basis_data, fe_curls, fe_values, integrate_squared
 from eddymh.mesh import LOCAL_EDGES
+from eddymh.quadrature import TET_P5_WEIGHTS
 
 _EA = LOCAL_EDGES[:, 0]
 _EB = LOCAL_EDGES[:, 1]
@@ -105,14 +106,15 @@ def field_norms(mesh, field, weight=None, curl=None):
     nt = mesh.num_tets
     w = np.ones(nt) if weight is None else np.broadcast_to(np.asarray(weight, float), (nt,))
     if callable(field):
-        points = basis_data(mesh).points
-        nq = points.shape[1]
-        F = np.asarray(field(points.reshape(-1, 3))).reshape(nt, nq, 3)
-        norm_sq = integrate_squared(mesh, F, w)
-        if curl is None:
-            return norm_sq, None
-        C = np.asarray(curl(points.reshape(-1, 3))).reshape(nt, nq, 3)
-        return norm_sq, integrate_squared(mesh, C, w)
+        bd = basis_data(mesh)
+        nq = bd.points.shape[1]
+
+        def weighted(f):
+            F = np.asarray(f(bd.points.reshape(-1, 3))).reshape(nt, nq, 3)
+            sq = np.einsum("tqi,tqi->tq", F, F) @ TET_P5_WEIGHTS
+            return float((6.0 * bd.vols * w * sq).sum())
+
+        return weighted(field), None if curl is None else weighted(curl)
     coef = np.asarray(field, dtype=float)
     vol, phi, _ = whitney_values(mesh.vertices[mesh.tets], TET_P2_BARY)
     signed = coef[mesh.tet_edges] * mesh.tet_edge_signs

@@ -557,21 +557,6 @@ def test_undersized_friedrichs_is_a_config_error(tmp_path, capsys, command):
     assert main([command, "--config", exact, "--out", str(out)]) == EXIT_OK
 
 
-def test_report_records_the_form_gap(tmp_path, capsys):
-    # each bound entry records the relative gap between the quadratic-form
-    # bound of its last iteration and the reported quadrature bound
-    config = _write_config(tmp_path, mesh_n=2, truncation=1)
-    out = tmp_path / "out"
-    assert main(["forward", "--config", config, "--out", str(out), "--verbose"]) == EXIT_OK
-    lines = [line for line in capsys.readouterr().out.splitlines() if "i_eff=" in line]
-    case = json.loads((out / "report.json").read_text(encoding="utf-8"))["cases"][0]
-    bounds = case["modes"] + [case["total"]]
-    assert len(lines) == len(bounds)
-    for line, bound in zip(lines, bounds):
-        assert 0.0 <= bound["form_gap"] <= 1e-12
-        assert f"form gap {bound['form_gap']:.1e}" in line
-
-
 def test_verify_lists_the_residual_forms_check(capsys):
     assert main(["verify"]) == EXIT_OK
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]

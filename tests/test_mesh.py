@@ -165,6 +165,22 @@ def test_boundary_independent_of_tet_order():
     )
 
 
+@pytest.mark.parametrize(
+    "n, box", [(1, (1, 1, 1)), (2, (1, 1, 1)), (5, (1, 1, 1)), (8, (1, 1, 1)), (3, (0.5, 2, 3))]
+)
+def test_boundary_matches_unique_face_rows(n, box):
+    # the boundary faces as the unique rows of the sorted face array seen
+    # once, the computation the 1-D face keys replace
+    mesh = build_box_mesh(n, box)
+    faces = np.sort(mesh.tets[:, list(itertools.combinations(range(4), 3))], axis=2)
+    unique_faces, counts = np.unique(faces.reshape(-1, 3), axis=0, return_counts=True)
+    bfaces = unique_faces[counts == 1]
+    pairs = {pair for face in bfaces.tolist() for pair in itertools.combinations(face, 2)}
+    edges = [e for e, pair in enumerate(map(tuple, mesh.edges.tolist())) if pair in pairs]
+    np.testing.assert_array_equal(mesh.boundary_edges, edges)
+    np.testing.assert_array_equal(mesh.boundary_nodes, np.unique(bfaces))
+
+
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_edges_are_numbered_in_dissection_order(n):
     # the mesh's edge numbering is the fixed point of the dissection of its
