@@ -214,18 +214,17 @@ class RunConfig:
 
 @dataclass(eq=False)
 class CaseResult:
-    """One solved benchmark with its per-mode and total bound reports."""
+    """One solved benchmark with its bound reports (the modes' in ``total.modes``)."""
 
     alpha: float
     constants: StabilityConstants
     stats: list
     errors: dict
-    reports: list
     total: object
     estimate_time: float
 
     def bound_ok(self):
-        reports = self.reports + [self.total]
+        reports = self.total.modes + [self.total]
         return all(r.efficiency >= 1.0 - BOUND_SLACK for r in reports)
 
 
@@ -280,55 +279,54 @@ def _run_case(config, bench, workspace, tail, verbose):
         alpha=bench.alpha,
         friedrichs=config.friedrichs,
     )
-    loads = mode_evaluators(bench)
     label = "" if bench.alpha is None else f" alpha={bench.alpha:g}"
-
-    def bound(what, value, **part):
+    exact = [
+        sum(e.semi_modes[k] for e in errors.values()) for k in range(config.truncation + 1)
+    ] + [sum(e.semi_total for e in errors.values())]
+    for k, value in enumerate(exact):
         # the efficiency index divides by the exact error value; at extreme
         # periods the exact and discrete mode amplitudes both vanish
         if not (math.isfinite(value) and value > 0.0):
+            what = "total" if k > config.truncation else f"mode {k}"
             raise ConfigError(
                 f"the {what} exact error is {value!r} at period "
                 f"{config.period!r}, so its efficiency index is undefined"
             )
-        try:
-            report = minimize_majorant(
-                bench.mesh,
-                bench.coefficients,
-                bench.period,
-                bench.kind,
-                state,
-                loads,
-                constants,
-                adjoint=adjoint,
-                alpha=bench.alpha,
-                error_sq=value,
-                tol=config.majorant_tol,
-                maxit=config.majorant_maxit,
-                workspace=workspace,
-                **part,
-            )
-        except RuntimeError as exc:
-            # at a huge friedrichs, cf^2 K swamps M in the flux matrices
-            # and SuperLU finds them singular
-            raise SolverFailure(f"{what} bound{label}: {exc}") from exc
-        if verbose:
+    start = time.perf_counter()
+    try:
+        total = minimize_majorant(
+            bench.mesh,
+            bench.coefficients,
+            bench.period,
+            bench.kind,
+            state,
+            mode_evaluators(bench),
+            constants,
+            adjoint=adjoint,
+            alpha=bench.alpha,
+            tail=tail,
+            error_sq=exact[-1],
+            tol=config.majorant_tol,
+            maxit=config.majorant_maxit,
+            workspace=workspace,
+        )
+    except RuntimeError as exc:
+        # at a huge friedrichs, cf^2 K swamps M in the flux matrices
+        # and SuperLU finds them singular
+        raise SolverFailure(f"bound{label}: {exc}") from exc
+    estimate_time = time.perf_counter() - start
+    modes = [dataclasses.replace(r, error_sq=e) for r, e in zip(total.modes, exact)]
+    total = dataclasses.replace(total, modes=modes)
+    if verbose:
+        for report in modes + [total]:
+            what = "total" if report.mode is None else f"mode {report.mode}"
             print(
                 f"  {what}{label}: majorant_sq={report.majorant_sq:.6e} "
                 f"i_eff={report.efficiency:.3f} ({len(report.trace)} iterations, "
                 f"{report.pcg_steps} pcg steps, {report.direct_solves} direct solves)"
             )
-        return report
-
-    start = time.perf_counter()
-    reports = [
-        bound(f"mode {k}", sum(e.semi_modes[k] for e in errors.values()), mode=k)
-        for k in range(config.truncation + 1)
-    ]
-    total = bound("total", sum(e.semi_total for e in errors.values()), tail=tail)
-    estimate_time = time.perf_counter() - start
     return CaseResult(
-        bench.alpha, constants, stats, errors, reports, total, estimate_time
+        bench.alpha, constants, stats, errors, total, estimate_time
     )
 
 
@@ -376,11 +374,11 @@ def _write_csv(path, header, rows):
 
 
 def _write_forward_tables(out_dir, case):
-    for k, report in enumerate(case.reports):
+    for k, report in enumerate(case.total.modes):
         ctimes = itertools.accumulate(row.wall_time for row in report.trace)
         rows = [
             [row.iteration, f"{ctime:.6f}", f"{row.betas[0]:.10e}"]
-            + [f"{row.majorant_sq:.10e}", f"{row.efficiency:.10e}"]
+            + [f"{row.majorant_sq:.10e}", f"{row.majorant_sq / report.error_sq:.10e}"]
             for row, ctime in zip(report.trace, ctimes)
         ]
         header = ["iteration", "ctime", "beta", "majorant_sq", "i_eff"]
@@ -388,10 +386,10 @@ def _write_forward_tables(out_dir, case):
 
 
 def _write_ocp_tables(out_dir, cases):
-    for k in range(len(cases[0].reports)):
+    for k in range(len(cases[0].total.modes)):
         rows = []
         for case in cases:
-            report = case.reports[k]
+            report = case.total.modes[k]
             ctime = sum(row.wall_time for row in report.trace)
             rows.append(
                 [f"{case.alpha:.6g}", f"{ctime:.6f}"]
@@ -439,7 +437,7 @@ def _case_entry(case):
             for k, st in enumerate(case.stats)
         ],
         "errors": {name: _error_entry(b) for name, b in case.errors.items()},
-        "modes": [_report_entry(r) for r in case.reports],
+        "modes": [_report_entry(r) for r in case.total.modes],
         "total": _report_entry(case.total),
         "estimate_seconds": float(case.estimate_time),
         "bound_satisfied": case.bound_ok(),
@@ -662,7 +660,7 @@ def _check_guaranteed_bound(config):
         _, (case,) = _sweep("forward", quick)
     except (ConfigError, SolverFailure) as exc:
         return ("guaranteed bound", False, str(exc))
-    lowest = min(r.efficiency for r in case.reports + [case.total])
+    lowest = min(r.efficiency for r in case.total.modes + [case.total])
     return (
         "guaranteed bound",
         case.bound_ok(),

@@ -185,8 +185,7 @@ def assemble_load(mesh, dofmap, f):
     F = np.asarray(f(bd.points.reshape(-1, 3))).reshape(nt, nq, 3)
     moments = (_MOMENTS_P5 @ F).reshape(nt, -1, 1)  # int lambda_i F / (6 vol)
     L = (bd.whitney.reshape(-1, 6, 12) @ moments)[:, :, 0] * (6.0 * bd.vols)[:, None]
-    full = np.zeros(mesh.num_edges)
-    np.add.at(full, mesh.tet_edges, L)
+    full = np.bincount(mesh.tet_edges.ravel(), weights=L.ravel(), minlength=mesh.num_edges)
     return full[dofmap.free] if dofmap is not None else full
 
 

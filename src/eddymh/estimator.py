@@ -29,7 +29,7 @@ conjugate gradients preconditioned with one shared factor of
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -406,50 +406,46 @@ class FluxWorkspace:
         return list(x.T)
 
 
-def _pairs(ws, period, kind, modes, alpha):
-    # Every pair of every mode as its flux-independent terms, laid out
-    # pairs[p][j] for pair p (of _PAIR_KEYS[kind]) of mode j: per member
-    # the field phi, the tet means Gbar of G and the oscillation
-    # |G - Gbar|^2, all from _pair_points.
-    pairs = [[] for _ in _PAIR_KEYS[kind]]
-    for k, eta, zeta, f in modes:
-        points = _pair_points(ws.mesh, ws.coefficients, period, k, eta, zeta, f, alpha)
-        for pair, members in zip(pairs, points):
-            pair.append([])
-            for phi, g, _ in members:
-                mean = 6.0 * np.einsum("q,tqi->ti", TET_P5_WEIGHTS, g)
-                osc = integrate_squared(ws.mesh, g - mean[:, None, :])
-                pair[-1].append((phi, mean, osc))
-    return pairs
+def _pairs(ws, period, k, weight, eta, zeta, load, alpha):
+    # The flux columns of mode k, pair by pair, one per member: the pair's
+    # index into _PAIR_KEYS, the time weight, the field phi, the tet means
+    # Gbar of G and the oscillation |G - Gbar|^2, all from _pair_points.
+    columns = []
+    points = _pair_points(ws.mesh, ws.coefficients, period, k, eta, zeta, load, alpha)
+    for p, members in enumerate(points):
+        for phi, g, _ in members:
+            mean = 6.0 * np.einsum("q,tqi->ti", TET_P5_WEIGHTS, g)
+            osc = integrate_squared(ws.mesh, g - mean[:, None, :])
+            columns.append((p, weight, phi, mean, osc))
+    return columns
 
 
 def _dot(a, b):
     return np.einsum("ti,ti->t", a, b)
 
 
-def _residual_sums(ws, kind, pairs, fluxes, time_weights):
-    # Residual sums keyed like MajorantReport.residual_sums, weighted by
-    # time_weights[j] for mode j, each per tet in closed form: curl t is
-    # constant, so |G - curl t|^2 integrates to |G - Gbar|^2 + vol |Gbar -
-    # curl t|^2; t - nu curl phi is linear, so its square integrates to
-    # vol/20 (|sum v_i|^2 + sum |v_i|^2) over its vertex values v_i.  Then
-    # the sums of the terms' magnitudes, the scale of their rounding: per
-    # tet |a|^2 + |b|^2 + 2 |a.b| = |a - b|^2 + 4 max(a.b, 0) for a - b.
+def _residual_sums(ws, kind, columns, fluxes):
+    # Residual sums keyed like MajorantReport.residual_sums, each column
+    # at its time weight, per tet in closed form: curl t is constant, so
+    # |G - curl t|^2 integrates to |G - Gbar|^2 + vol |Gbar - curl t|^2;
+    # t - nu curl phi is linear, so its square integrates to vol/20
+    # (|sum v_i|^2 + sum |v_i|^2) over its vertex values v_i.  Then the
+    # sums of the terms' magnitudes, the scale of their rounding: per tet
+    # |a|^2 + |b|^2 + 2 |a.b| = |a - b|^2 + 4 max(a.b, 0) for a - b.
     mesh, vols = ws.mesh, basis_data(ws.mesh).vols
     sums, scales = dict.fromkeys(_KEYS, 0.0), dict.fromkeys(_KEYS, 0.0)
-    for (eq_key, def_key), pair, flux in zip(_PAIR_KEYS[kind], pairs, fluxes):
-        for members, t, w in zip(pair, flux, time_weights):
-            for (phi, mean, osc), x in zip(members, t):
-                curl = fe_curls(mesh, x)
-                d = ws.coefficients.nu[:, None] * fe_curls(mesh, phi)
-                v = fe_vertex_values(mesh, x) - d[:, None, :]
-                total = np.einsum("tvi->ti", v)
-                eq = osc + vols @ _dot(mean - curl, mean - curl)
-                defect = vols @ (_dot(total, total) + np.einsum("tvi,tvi->t", v, v)) / 20.0
-                sums[eq_key] += w * eq
-                sums[def_key] += w * defect
-                scales[eq_key] += w * (eq + 4.0 * (vols @ np.maximum(_dot(mean, curl), 0.0)))
-                scales[def_key] += w * (defect + vols @ np.maximum(_dot(total + 4.0 * d, d), 0.0))
+    for (p, w, phi, mean, osc), x in zip(columns, fluxes):
+        eq_key, def_key = _PAIR_KEYS[kind][p]
+        curl = fe_curls(mesh, x)
+        d = ws.coefficients.nu[:, None] * fe_curls(mesh, phi)
+        v = fe_vertex_values(mesh, x) - d[:, None, :]
+        total = np.einsum("tvi->ti", v)
+        eq = osc + vols @ _dot(mean - curl, mean - curl)
+        defect = vols @ (_dot(total, total) + np.einsum("tvi,tvi->t", v, v)) / 20.0
+        sums[eq_key] += w * eq
+        sums[def_key] += w * defect
+        scales[eq_key] += w * (eq + 4.0 * (vols @ np.maximum(_dot(mean, curl), 0.0)))
+        scales[def_key] += w * (defect + vols @ np.maximum(_dot(total + 4.0 * d, d), 0.0))
     return sums, scales
 
 
@@ -458,33 +454,32 @@ def residual_forms(workspace, period, k, eta, fluxes, load, zeta=None, alpha=Non
     ``residuals_ocp`` (fluxes = (tau, rho)) from the per-tet closed forms
     that steer and report minimize_majorant, equal to them up to rounding."""
     kind = "forward" if zeta is None else "ocp"
-    pairs = _pairs(workspace, period, kind, [(k, eta, zeta, load)], alpha)
-    sums, _ = _residual_sums(workspace, kind, pairs, [[t] for t in fluxes], [1.0])
-    return tuple(sums[key] for key in _KEYS[: 2 * len(pairs)])
+    columns = _pairs(workspace, period, k, 1.0, eta, zeta, load, alpha)
+    flat = [t[i] for t in fluxes for i in range(1 if k == 0 else 2)]
+    sums, _ = _residual_sums(workspace, kind, columns, flat)
+    return tuple(sums[key] for key in _KEYS[: 2 * len(fluxes)])
 
 
-def _flux_step(ws, pairs, weights, cf, counts):
-    # Fluxes laid out as ``pairs``, each a (cos, sin) tuple, a 1-tuple
-    # for the mean mode, whose sine member the residuals ignore.  Pair p
-    # takes one multi-column solve of the normal equations of
-    # w_eq |G - curl t|^2 + w_def |t - nu curl phi|^2, with its Young
-    # weights weights[p] = (w_eq, w_def), right-hand side
-    # w_eq (G, curl phi_e) + w_def C_nu phi; without weights (iteration 1),
-    # one mass solve projects nu curl (field) for every pair.
-    def rhs(pair, w_eq, w_def):  # one array, which solve does not copy
+def _flux_step(ws, columns, weights, cf, counts):
+    # One flux per column.  The columns of pair p take one multi-column
+    # solve of the normal equations of w_eq |G - curl t|^2 + w_def |t - nu
+    # curl phi|^2 at weights[p] = (w_eq, w_def), right-hand side w_eq (G,
+    # curl phi_e) + w_def C_nu phi; without weights (iteration 1), one mass
+    # solve projects nu curl (field) for every column.
+    def rhs(rows, w_eq, w_def):  # one array, which solve does not copy
         return np.array([
             w_eq * assemble_curl_load(ws.mesh, mean) + w_def * (ws.pair_nu @ phi)
-            for members in pair for phi, mean, _ in members
+            for _, _, phi, mean, _ in (columns[i] for i in rows)
         ])
 
     if weights is None:
-        solves = [(0.0, 1.0, np.concatenate([rhs(pair, 0.0, 1.0) for pair in pairs]))]
-    else:
-        solves = [(*w, rhs(pair, *w)) for pair, w in zip(pairs, weights)]
-    solutions = iter([
-        x for w_k, w_m, b in solves for x in ws.solve(w_k, w_m, b, cf * cf, counts)
-    ])
-    return [[tuple(next(solutions) for _ in members) for members in pair] for pair in pairs]
+        return ws.solve(0.0, 1.0, rhs(range(len(columns)), 0.0, 1.0), cf * cf, counts)
+    fluxes = [None] * len(columns)
+    for p, w in enumerate(weights):
+        rows = [i for i, column in enumerate(columns) if column[0] == p]
+        for i, x in zip(rows, ws.solve(*w, rhs(rows, *w), cf * cf, counts)):
+            fluxes[i] = x
+    return fluxes
 
 
 @dataclass(eq=False)
@@ -495,25 +490,30 @@ class TraceRow:
     wall_time: float
     betas: tuple
     majorant_sq: float
-    efficiency: float = None
 
 
 @dataclass(eq=False)
 class MajorantReport:
-    """Outcome of the alternating majorant minimization."""
+    """Outcome of the alternating majorant minimization; a total's report
+    lists its modes' reports in ``modes``."""
 
     kind: str
-    mode: int
     betas: tuple
     residual_sums: dict
     tail: float
     majorant_sq: float
-    error_sq: float
-    efficiency: float
     converged: bool
     pcg_steps: int
     direct_solves: int
     trace: list = field(default_factory=list)
+    mode: int = None
+    error_sq: float = None
+    modes: list = field(default_factory=list)
+
+    @property
+    def efficiency(self):
+        """majorant_sq / error_sq, or None without an error."""
+        return None if self.error_sq is None else efficiency_index(self.majorant_sq, self.error_sq)
 
 
 def minimize_majorant(
@@ -545,10 +545,11 @@ def minimize_majorant(
     constants : StabilityConstants matching ``kind`` and the seminorm.
     adjoint : FourierField, required for the ocp.
     mode : int, optional
-        Restrict to a single mode (with its own time weight); the
-        default sums modes 0..N plus the data remainder ``tail``.
+        Restrict to a single mode (with its own time weight); the default
+        sums modes 0..N plus the data remainder ``tail`` and also bounds
+        each mode alone (``modes``), so wanting the total costs both.
     error_sq : float, optional
-        Squared true error quantity; fills the efficiency columns.
+        Squared true error quantity that ``efficiency`` divides by.
     workspace : FluxWorkspace, optional
         Built from this ``mesh`` and ``coefficients`` (else ValueError);
         by default a new one.
@@ -564,15 +565,15 @@ def minimize_majorant(
     of nu curl applied to the fields) at unit parameters; from
     iteration 2 on, each step solves the flux subproblems for the
     current parameters to relative residual PCG_RTOL, so the recorded
-    bound does not increase beyond rounding.  Every mode in an iteration
-    shares the flux matrix of each pair, so an iteration runs one
-    multi-column solve per pair (the mass matrix of iteration 1 once
-    for all pairs).  The report counts the PCG steps and the one-shot
-    factorizations those solves took.  Each iteration sums every
-    residual per tet in closed form, exact under the degree-5 rule, from
-    terms built once per call; the reported bound, its residual sums and
-    betas are the last trace row as computed.  A Friedrichs constant
-    below the mesh's bounding box's raises ValueError.
+    bound does not increase beyond rounding.  Each mode's flux columns
+    are built once, and its bound and the total's read them; the columns
+    of a pair share its flux matrix, so an iteration runs one
+    multi-column solve per pair (the mass matrix of iteration 1 once).
+    A report counts the PCG steps and the one-shot factorizations its
+    solves took.  Each iteration sums every residual per tet in closed
+    form, exact under the degree-5 rule; the reported bound, its
+    residual sums and betas are the last trace row as computed.  A
+    Friedrichs constant below the mesh's bounding box's raises ValueError.
     """
     if kind not in ("forward", "ocp"):
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -594,13 +595,23 @@ def minimize_majorant(
         and np.array_equal(ws.coefficients.nu, coefficients.nu)
     ):
         raise ValueError("flux workspace was built for another mesh or coefficients")
-    mode_list = list(range(period.N + 1)) if mode is None else [int(mode)]
-    time_weights = [period.T if k == 0 else 0.5 * period.T for k in mode_list]
-    modes = [
-        (k, state.mode(k), None if adjoint is None else adjoint.mode(k), loads(k))
-        for k in mode_list
+    tables = [
+        _pairs(ws, period, k, period.T if k == 0 else 0.5 * period.T, state.mode(k),
+               None if adjoint is None else adjoint.mode(k), loads(k), alpha)
+        for k in (range(period.N + 1) if mode is None else [int(mode)])
     ]
-    pairs = _pairs(ws, period, kind, modes, alpha)
+    modes = [] if mode is not None else [
+        replace(_minimize(ws, kind, table, constants, 0.0, tol, maxit), mode=k)
+        for k, table in enumerate(tables)
+    ]
+    columns = [column for table in tables for column in table]
+    report = _minimize(ws, kind, columns, constants, tail, tol, maxit)
+    return replace(report, mode=mode, error_sq=error_sq, modes=modes)
+
+
+def _minimize(ws, kind, columns, constants, tail, tol, maxit):
+    # the alternating minimization of one bound over its flux columns
+    cf = constants.friedrichs
     betas = (1.0,) if kind == "forward" else (1.0, 1.0, 1.0)
     counts = {"pcg_steps": 0, "direct_solves": 0}
     trace = []
@@ -610,14 +621,11 @@ def minimize_majorant(
         start = time.perf_counter()
         w = _weights(betas, cf)
         pair_weights = [(w[eq], w[de]) for eq, de in _PAIR_KEYS[kind]]
-        fluxes = _flux_step(ws, pairs, pair_weights if iteration > 1 else None, cf, counts)
-        sums, scales = _residual_sums(ws, kind, pairs, fluxes, time_weights)
+        fluxes = _flux_step(ws, columns, pair_weights if iteration > 1 else None, cf, counts)
+        sums, scales = _residual_sums(ws, kind, columns, fluxes)
         del fluxes  # the next step's solves need the room
         value = _bound(sums, betas, constants, tail)
-        eff = None if error_sq is None else efficiency_index(value, error_sq)
-        trace.append(
-            TraceRow(iteration, time.perf_counter() - start, betas, value, eff)
-        )
+        trace.append(TraceRow(iteration, time.perf_counter() - start, betas, value))
         noise = FORM_NOISE * np.finfo(float).eps * _bound(scales, betas, constants, tail)
         if previous is not None and abs(previous - value) <= max(tol, noise):
             converged = True
@@ -634,13 +642,10 @@ def minimize_majorant(
     final = trace[-1]
     return MajorantReport(
         kind=kind,
-        mode=mode,
         betas=final.betas,
         residual_sums=sums,
         tail=tail,
         majorant_sq=final.majorant_sq,
-        error_sq=error_sq,
-        efficiency=final.efficiency,
         converged=converged,
         trace=trace,
         **counts,

@@ -95,10 +95,6 @@ def _exp_data(a, b):
     return modes, profile
 
 
-# Coefficients (c_k, s_k) of e^t cos t and e^t sin t; vectorized.
-exp_cos_modes, _ = _exp_data(1.0, 0.0)
-exp_sin_modes, _ = _exp_data(0.0, 1.0)
-
 # The exponential data sets, as (modes, time profile) per problem kind: the
 # forward load scale g = e^t (cos t + (2 pi^2 + 1) sin t) and the desired
 # state d = e^t (sin t + (2 pi^2 + 1)((2 pi^2 + 1) sin t - cos t)).
@@ -106,8 +102,6 @@ _EXP_DATA = {
     "forward": _exp_data(1.0, EIGENVALUE + 1.0),
     "ocp": _exp_data(-(EIGENVALUE + 1.0), 1.0 + (EIGENVALUE + 1.0) ** 2),
 }
-forward_data_modes, forward_data_profile = _EXP_DATA["forward"]
-ocp_data_modes, ocp_data_profile = _EXP_DATA["ocp"]
 
 
 def _scaled_operator(k, omega):

@@ -386,6 +386,39 @@ def test_ocp_sweep_shares_its_setup(tmp_path, monkeypatch):
     assert [case["alpha"] for case in report["cases"]] == [0.5, 1.0, 2.0]
 
 
+def test_one_estimator_call_per_case(tmp_path, monkeypatch):
+    # a case bounds its modes and its total in one estimator call, which
+    # evaluates each mode's pair terms once, and reports each mode as a
+    # single-mode minimization on the same fields would
+    calls, points = [], []
+    minimize, pair_points = eddymh.cli.minimize_majorant, eddymh.estimator._pair_points
+
+    def counted_minimize(*args, **kwargs):
+        calls.append((args, kwargs))
+        return minimize(*args, **kwargs)
+
+    def counted_points(*args):
+        points.append(args[3])
+        return pair_points(*args)
+
+    monkeypatch.setattr(eddymh.cli, "minimize_majorant", counted_minimize)
+    monkeypatch.setattr(eddymh.estimator, "_pair_points", counted_points)
+    for command, fields in (("forward", {}), ("ocp", {"alphas": [0.5, 2.0]})):
+        calls.clear()
+        points.clear()
+        config = _write_config(tmp_path, mesh_n=2, truncation=1, **fields)
+        out = tmp_path / command
+        assert main([command, "--config", config, "--out", str(out)]) == EXIT_OK
+        cases = json.loads((out / "report.json").read_text(encoding="utf-8"))["cases"]
+        assert len(calls) == len(cases)
+        assert points == [0, 1] * len(cases)
+        for (args, kwargs), case in zip(calls, cases):
+            for k, entry in enumerate(case["modes"]):
+                error_sq = sum(e["semi_modes"][k] for e in case["errors"].values())
+                alone = minimize(*args, **kwargs | {"mode": k, "tail": 0.0, "error_sq": error_sq})
+                assert eddymh.cli._report_entry(alone) == entry
+
+
 def test_solver_failure_exit_code(tmp_path):
     config = _write_config(tmp_path, mesh_n=2, truncation=1, minres_maxit=2)
     out = tmp_path / "out"

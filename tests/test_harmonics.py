@@ -15,13 +15,7 @@ from eddymh.harmonics import (
     remainder,
 )
 from eddymh.mesh import build_box_mesh, gradient_incidence
-from eddymh.presets import (
-    EIGENVALUE,
-    forward_data_modes,
-    forward_data_profile,
-    ocp_data_modes,
-    ocp_data_profile,
-)
+from eddymh.presets import _EXP_DATA, EIGENVALUE
 
 TWO_PI = 2.0 * math.pi
 E2PI = math.exp(TWO_PI) - 1.0
@@ -116,8 +110,8 @@ def test_time_rule_resolves_every_harmonic(kind, N):
     # modes: ||g||^2 = (e^{4 pi} - 1) ((a^2 + b^2)/4 + (a^2 - b^2)/8 - ab/4)
     m = EIGENVALUE + 1.0
     modes, g, (a, b) = {
-        "forward": (forward_data_modes, forward_data_profile, (1.0, m)),
-        "ocp": (ocp_data_modes, ocp_data_profile, (-m, 1.0 + m * m)),
+        "forward": (*_EXP_DATA["forward"], (1.0, m)),
+        "ocp": (*_EXP_DATA["ocp"], (-m, 1.0 + m * m)),
     }[kind]
     total = math.expm1(4.0 * math.pi) * (
         (a * a + b * b) / 4.0 + (a * a - b * b) / 8.0 - a * b / 4.0

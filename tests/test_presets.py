@@ -9,17 +9,13 @@ import pytest
 from eddymh.harmonics import PeriodSpec, fourier_coeff, remainder
 from eddymh.mesh import build_box_mesh
 from eddymh.presets import (
+    _EXP_DATA,
     EIGENVALUE,
     PROFILE_CURL_SQ,
     PROFILE_NORM_SQ,
+    _exp_data,
     benchmark_errors,
     build_benchmark,
-    exp_cos_modes,
-    exp_sin_modes,
-    forward_data_modes,
-    forward_data_profile,
-    ocp_data_modes,
-    ocp_data_profile,
     profile,
     profile_curl,
     scalar_forward_exact,
@@ -32,6 +28,13 @@ from fem_oracles import difference_norms, field_norms
 
 TWO_PI = 2.0 * math.pi
 E2PI = math.exp(TWO_PI) - 1.0
+
+# Coefficients (c_k, s_k) of e^t cos t and e^t sin t, and the exponential
+# data sets as (modes, time profile); vectorized.
+exp_cos_modes, _ = _exp_data(1.0, 0.0)
+exp_sin_modes, _ = _exp_data(0.0, 1.0)
+forward_data_modes, forward_data_profile = _EXP_DATA["forward"]
+ocp_data_modes, ocp_data_profile = _EXP_DATA["ocp"]
 
 
 def test_exp_sin_frozen_values():
