@@ -5,7 +5,8 @@ system of a distributed optimal control problem constrained by it) with a
 truncated Fourier series in time and lowest-order Nedelec elements in space,
 solves the decoupled mode systems with a preconditioned MINRES iteration, and
 computes guaranteed, fully computable upper bounds for the discretization
-error in the natural space-time norm.
+error in the natural space-time norm.  The names imported here are its
+public API.
 """
 
 from .edge_fem import Coefficients, DofMap, assemble, assemble_load
@@ -49,41 +50,3 @@ from .systems import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Benchmark",
-    "Coefficients",
-    "DofMap",
-    "FluxWorkspace",
-    "FourierField",
-    "MajorantReport",
-    "PeriodSpec",
-    "StabilityConstants",
-    "SystemMatrices",
-    "TetMesh",
-    "assemble",
-    "assemble_load",
-    "benchmark_errors",
-    "beta_optimal",
-    "beta_optimal_ocp",
-    "build_benchmark",
-    "build_box_mesh",
-    "build_forward",
-    "build_forward0",
-    "build_ocp",
-    "build_ocp0",
-    "efficiency_index",
-    "fourier_coeff",
-    "friedrichs_constant",
-    "majorant_forward",
-    "majorant_ocp",
-    "minimize_majorant",
-    "minres",
-    "reconstruct",
-    "remainder",
-    "residuals_forward",
-    "residuals_ocp",
-    "solve_benchmark",
-    "solve_mode",
-    "stability_constants",
-]

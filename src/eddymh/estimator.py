@@ -23,9 +23,12 @@ and free of cancellation, both steer the minimization and report its bound.
 As any flux gives a valid bound, an inexact flux solve can only make it
 less sharp, never wrong: every flux matrix ``a K + b M`` is solved by
 conjugate gradients preconditioned with one shared factor of
-``cf^2 K + M``, the matrix at unit Young parameters.
+``cf^2 K + M``, the matrix at unit Young parameters.  A case's bounds (each
+mode's and the total) run in lock-step, so one block solve per iteration
+serves every unfinished bound, each column at its own ``(a, b)``.
 """
 
+import collections
 import math
 import threading
 import time
@@ -68,6 +71,11 @@ FORM_NOISE = 4.0
 FLUX_BAND = 8.0
 PCG_MAXIT = 100
 PCG_RTOL = 1e-10
+
+# Flux columns per lock-step block unless one flux matrix has more: the
+# shared factor's solve costs the same per column from about 16 on, and at
+# forward n=12, N=32 a cap of 64 raised the peak RSS by 5 MB (128: 50 MB).
+_BLOCK_COLUMNS = 32
 
 
 @dataclass(frozen=True)
@@ -310,36 +318,39 @@ def efficiency_index(majorant_sq, error_sq):
     return majorant_sq / error_sq
 
 
-def _pcg(matrix, precondition, rhs):
-    # Multi-column preconditioned CG started from precondition(rhs); every
-    # column stops at relative residual PCG_RTOL and then drops out, so a
-    # zero column never divides.  Returns (solution, steps), or
-    # (None, steps) when PCG_MAXIT steps did not suffice.
+def _pcg(apply, precondition, rhs, live):
+    # Multi-column preconditioned CG on the columns ``live`` of rhs, from
+    # the preconditioned rhs; apply and precondition take a block and its
+    # columns' indices.  Every column stops at relative residual PCG_RTOL
+    # and drops out, so a zero column never divides.  Returns the solution,
+    # each column's steps and the live columns PCG_MAXIT steps left unsolved.
     goal = PCG_RTOL * np.linalg.norm(rhs, axis=0)
-    x = precondition(rhs)
-    r = rhs - matrix @ x
-    todo = np.flatnonzero(np.linalg.norm(r, axis=0) > goal)
-    r = r[:, todo]
-    z = precondition(r)
-    p = z
-    rz = np.einsum("ij,ij->j", r, z)
-    steps = 0
-    while todo.size:
-        if steps == PCG_MAXIT:
-            return None, steps
-        steps += 1
-        q = matrix @ p
+    todo = np.arange(rhs.shape[1])
+    x = precondition(rhs, todo)
+    r = rhs - apply(x, todo)
+    steps = np.zeros(todo.size, dtype=int)
+    keep = live & (np.linalg.norm(r, axis=0) > goal)
+    todo, r = todo[keep], r[:, keep]
+    p = precondition(r, todo)
+    rz = np.einsum("ij,ij->j", r, p)
+    for _ in range(PCG_MAXIT):  # in place where that saves a block of vectors
+        if not todo.size:
+            break
+        steps[todo] += 1
+        q = apply(p, todo)
         step = rz / np.einsum("ij,ij->j", p, q)
+        q *= step
+        r -= q
+        del q
         x[:, todo] += step * p
-        r -= step * q
         keep = np.linalg.norm(r, axis=0) > goal[todo]
         todo, r, p, rz = todo[keep], r[:, keep], p[:, keep], rz[keep]
         if todo.size:
-            z = precondition(r)
+            z = precondition(r, todo)
             rz_next = np.einsum("ij,ij->j", r, z)
-            p = z + (rz_next / rz) * p
-            rz = rz_next
-    return x, steps
+            z += (rz_next / rz) * p
+            p, rz = z, rz_next
+    return x, steps, todo
 
 
 @dataclass(eq=False)
@@ -381,42 +392,63 @@ class FluxWorkspace:
     def solve(self, curl_weight, mass_weight, rhs_list, anchor, counts):
         """Solutions of (curl_weight K + mass_weight M) x = r, one per r.
 
-        One multi-column PCG serves all of them: Jacobi for the mass
-        matrix, the ``anchor K + M`` factor for a ratio within FLUX_BAND
-        of ``anchor``.  Any other matrix, or a PCG past PCG_MAXIT steps,
-        is factored once and the factor dropped.  ``counts`` accumulates
-        "pcg_steps" and "direct_solves".
+        Weights are numbers or one per r; ``counts`` is one dict or one
+        per r, and the columns sharing a dict (and weights) are one solve
+        that adds its most PCG steps ("pcg_steps") and one-shot
+        factorizations ("direct_solves") to it.  One multi-column PCG,
+        weighting K and M per column, serves all: Jacobi if no column has
+        a curl weight, else the ``anchor K + M`` factor for each ratio
+        within FLUX_BAND of ``anchor``.  A solve with a column outside the
+        band or past PCG_MAXIT steps factors its matrix once.
         """
         rhs = np.asarray(rhs_list).T
-        matrix = curl_weight * self.stiffness + mass_weight * self.mass
-        x, steps = None, 0
-        if curl_weight == 0.0:
-            diagonal = mass_weight * self.mass.diagonal()[:, None]
-            x, steps = _pcg(matrix, lambda r: r / diagonal, rhs)
-        elif anchor / FLUX_BAND <= curl_weight / mass_weight <= anchor * FLUX_BAND:
+        a, b = (np.broadcast_to(w, rhs.shape[1:]) for w in (curl_weight, mass_weight))
+        live = np.ones(a.shape, dtype=bool)
+        if not a.any():
+            diagonal = self.mass.diagonal()[:, None]
+            base = lambda r: r / diagonal  # noqa: E731
+        else:
+            live = (anchor / FLUX_BAND <= a / b) & (a / b <= anchor * FLUX_BAND)
             with self._lock:
                 if self._shared is None or self._shared[0] != anchor:
                     self._shared = (anchor, self.factor(anchor, 1.0))
-                shared = self._shared[1]
-            x, steps = _pcg(matrix, lambda r: shared(r) / mass_weight, rhs)
-        counts["pcg_steps"] += steps
-        if x is None:
-            counts["direct_solves"] += 1
-            x = self.factor(curl_weight, mass_weight)(rhs)
+                base = self._shared[1]
+
+        def apply(v, cols):  # in place where it saves a block of vectors
+            q = self.mass @ v
+            q *= b[cols]
+            if a.any():
+                t = self.stiffness @ v
+                t *= a[cols]
+                q += t
+            return q
+
+        x, steps, stuck = _pcg(apply, lambda r, cols: base(r) / b[cols], rhs, live)
+        failed = ~live
+        failed[stuck] = True
+        groups = {}
+        for j, group in enumerate([counts] * a.size if isinstance(counts, dict) else counts):
+            groups.setdefault(id(group), (group, []))[1].append(j)
+        for group, cols in groups.values():
+            group["pcg_steps"] += int(steps[cols].max())
+            if failed[cols].any():
+                group["direct_solves"] += 1
+                x[:, cols] = self.factor(a[cols[0]], b[cols[0]])(rhs[:, cols])
         return list(x.T)
 
 
 def _pairs(ws, period, k, weight, eta, zeta, load, alpha):
     # The flux columns of mode k, pair by pair, one per member: the pair's
     # index into _PAIR_KEYS, the time weight, the field phi, the tet means
-    # Gbar of G and the oscillation |G - Gbar|^2, all from _pair_points.
+    # Gbar of G and the oscillation |G - Gbar|^2, all from _pair_points,
+    # and the load part (Gbar, curl phi_e) of its flux right-hand sides.
     columns = []
     points = _pair_points(ws.mesh, ws.coefficients, period, k, eta, zeta, load, alpha)
     for p, members in enumerate(points):
         for phi, g, _ in members:
             mean = 6.0 * np.einsum("q,tqi->ti", TET_P5_WEIGHTS, g)
             osc = integrate_squared(ws.mesh, g - mean[:, None, :])
-            columns.append((p, weight, phi, mean, osc))
+            columns.append((p, weight, phi, mean, osc, assemble_curl_load(ws.mesh, mean)))
     return columns
 
 
@@ -434,7 +466,7 @@ def _residual_sums(ws, kind, columns, fluxes):
     # |a|^2 + |b|^2 + 2 |a.b| = |a - b|^2 + 4 max(a.b, 0) for a - b.
     mesh, vols = ws.mesh, basis_data(ws.mesh).vols
     sums, scales = dict.fromkeys(_KEYS, 0.0), dict.fromkeys(_KEYS, 0.0)
-    for (p, w, phi, mean, osc), x in zip(columns, fluxes):
+    for (p, w, phi, mean, osc, *_), x in zip(columns, fluxes):
         eq_key, def_key = _PAIR_KEYS[kind][p]
         curl = fe_curls(mesh, x)
         d = ws.coefficients.nu[:, None] * fe_curls(mesh, phi)
@@ -460,26 +492,32 @@ def residual_forms(workspace, period, k, eta, fluxes, load, zeta=None, alpha=Non
     return tuple(sums[key] for key in _KEYS[: 2 * len(fluxes)])
 
 
-def _flux_step(ws, columns, weights, cf, counts):
-    # One flux per column.  The columns of pair p take one multi-column
-    # solve of the normal equations of w_eq |G - curl t|^2 + w_def |t - nu
-    # curl phi|^2 at weights[p] = (w_eq, w_def), right-hand side w_eq (G,
-    # curl phi_e) + w_def C_nu phi; without weights (iteration 1), one mass
-    # solve projects nu curl (field) for every column.
-    def rhs(rows, w_eq, w_def):  # one array, which solve does not copy
-        return np.array([
-            w_eq * assemble_curl_load(ws.mesh, mean) + w_def * (ws.pair_nu @ phi)
-            for _, _, phi, mean, _ in (columns[i] for i in rows)
+def _flux_step(ws, kind, columns, work, cf):
+    # One lock-step flux step: the residual sums and scales of each bound
+    # of ``work``, a list of groups (weights, column indices, counts) each.
+    # At weights (w_eq, w_def) a flux minimizes w_eq |G - curl t|^2 + w_def
+    # |t - nu curl phi|^2.  Whole groups, each once and the widest first (so
+    # no flux is held while the widest block runs) fill blocks, one ws.solve
+    # each; a bound's residuals are summed once every block is solved.
+    queue = sorted({id(g): g for groups in work for g in groups}.values(),
+                   key=lambda g: len(g[1]), reverse=True)
+    fluxes = {}
+    while queue:
+        block = [queue.pop(0)]
+        while queue and sum(len(g[1]) for g in block + queue[:1]) <= _BLOCK_COLUMNS:
+            block.append(queue.pop(0))
+        cols = [(w, i, counts) for w, rows, counts in block for i in rows]
+        a, b = zip(*(w for w, _, _ in cols))
+        rhs = np.array([
+            w[0] * columns[i][5] + w[1] * (ws.pair_nu @ columns[i][2]) for w, i, _ in cols
         ])
-
-    if weights is None:
-        return ws.solve(0.0, 1.0, rhs(range(len(columns)), 0.0, 1.0), cf * cf, counts)
-    fluxes = [None] * len(columns)
-    for p, w in enumerate(weights):
-        rows = [i for i, column in enumerate(columns) if column[0] == p]
-        for i, x in zip(rows, ws.solve(*w, rhs(rows, *w), cf * cf, counts)):
-            fluxes[i] = x
-    return fluxes
+        solved = iter(ws.solve(a, b, rhs, cf * cf, [counts for _, _, counts in cols]))
+        fluxes.update(((id(g), i), next(solved)) for g in block for i in g[1])
+    sums = []
+    for groups in work:
+        mine = dict(sorted((i, fluxes[id(g), i]) for g in groups for i in g[1]))
+        sums.append(_residual_sums(ws, kind, [columns[i] for i in mine], list(mine.values())))
+    return sums
 
 
 @dataclass(eq=False)
@@ -560,20 +598,20 @@ def minimize_majorant(
         itself: each term magnitude is at least its residual.
 
     Returns a MajorantReport whose trace records, per iteration, the
-    parameters in force during the flux solve and the bound they yield.
-    Iteration 1 evaluates the constitutive flux guess (the projection
-    of nu curl applied to the fields) at unit parameters; from
-    iteration 2 on, each step solves the flux subproblems for the
-    current parameters to relative residual PCG_RTOL, so the recorded
-    bound does not increase beyond rounding.  Each mode's flux columns
-    are built once, and its bound and the total's read them; the columns
-    of a pair share its flux matrix, so an iteration runs one
-    multi-column solve per pair (the mass matrix of iteration 1 once).
-    A report counts the PCG steps and the one-shot factorizations its
-    solves took.  Each iteration sums every residual per tet in closed
-    form, exact under the degree-5 rule; the reported bound, its
-    residual sums and betas are the last trace row as computed.  A
-    Friedrichs constant below the mesh's bounding box's raises ValueError.
+    parameters in force during the flux solve, the bound they yield and
+    the iteration's wall time.  Each mode's flux columns are built once;
+    its bound and the total's run in lock-step, each with its own
+    parameters, stop, trace and counts of PCG steps and one-shot
+    factorizations.  Iteration 1's flux guess, the projection of nu curl
+    applied to the fields, does not depend on the parameters, so each
+    column is projected once for every bound.  From iteration 2 on, one
+    block PCG (in blocks of _BLOCK_COLUMNS) solves the flux subproblems
+    of every unfinished bound, each pair at its bound's weights, to
+    relative residual PCG_RTOL, so a bound does not increase beyond
+    rounding.  Each bound's residuals are summed per tet in closed form,
+    exact under the degree-5 rule; the reported bound, its residual sums
+    and betas are the last trace row.  A Friedrichs constant below the
+    mesh's bounding box's raises ValueError.
     """
     if kind not in ("forward", "ocp"):
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -600,53 +638,52 @@ def minimize_majorant(
                None if adjoint is None else adjoint.mode(k), loads(k), alpha)
         for k in (range(period.N + 1) if mode is None else [int(mode)])
     ]
-    modes = [] if mode is not None else [
-        replace(_minimize(ws, kind, table, constants, 0.0, tol, maxit), mode=k)
-        for k, table in enumerate(tables)
-    ]
+    # each mode's bound (unless one is asked for), then the total's; in
+    # iteration 1 a bound counts the most of its tables' shared solves
     columns = [column for table in tables for column in table]
-    report = _minimize(ws, kind, columns, constants, tail, tol, maxit)
-    return replace(report, mode=mode, error_sq=error_sq, modes=modes)
-
-
-def _minimize(ws, kind, columns, constants, tail, tol, maxit):
-    # the alternating minimization of one bound over its flux columns
-    cf = constants.friedrichs
-    betas = (1.0,) if kind == "forward" else (1.0, 1.0, 1.0)
-    counts = {"pcg_steps": 0, "direct_solves": 0}
-    trace = []
-    converged = False
-    previous = None
+    ends = np.cumsum([len(table) for table in tables])
+    rows = [range(end - len(table), end) for table, end in zip(tables, ends)]
+    bounds = ([] if mode is not None else rows) + [range(len(columns))]
+    unit = (1.0,) if kind == "forward" else (1.0,) * 3
+    reports = [MajorantReport(kind, unit, None, 0.0, None, False, 0, 0) for _ in bounds]
+    reports[-1].tail = tail
     for iteration in range(1, maxit + 1):
+        live = [j for j, report in enumerate(reports) if not report.converged]
+        if not live:
+            break
         start = time.perf_counter()
-        w = _weights(betas, cf)
-        pair_weights = [(w[eq], w[de]) for eq, de in _PAIR_KEYS[kind]]
-        fluxes = _flux_step(ws, columns, pair_weights if iteration > 1 else None, cf, counts)
-        sums, scales = _residual_sums(ws, kind, columns, fluxes)
-        del fluxes  # the next step's solves need the room
-        value = _bound(sums, betas, constants, tail)
-        trace.append(TraceRow(iteration, time.perf_counter() - start, betas, value))
-        noise = FORM_NOISE * np.finfo(float).eps * _bound(scales, betas, constants, tail)
-        if previous is not None and abs(previous - value) <= max(tol, noise):
-            converged = True
-            break
-        previous = value
-        groups = (sums["r1"] + tail, sums["r2"], sums["r3"], sums["r4"])
-        if max(groups) == 0.0:
-            converged = True
-            break
-        if kind == "forward":
-            betas = (beta_optimal(cf * cf * groups[0], groups[1]),)
+        if iteration == 1:
+            shared = [((0.0, 1.0), table_rows, collections.Counter()) for table_rows in rows]
+            work = [[group] for group in shared][: len(bounds) - 1] + [shared]
         else:
-            betas = beta_optimal_ocp(*groups, cf)
-    final = trace[-1]
-    return MajorantReport(
-        kind=kind,
-        betas=final.betas,
-        residual_sums=sums,
-        tail=tail,
-        majorant_sq=final.majorant_sq,
-        converged=converged,
-        trace=trace,
-        **counts,
-    )
+            work = []
+            for j in live:
+                w = _weights(reports[j].betas, cf)
+                work.append([
+                    ((w[eq], w[de]), [i for i in bounds[j] if columns[i][0] == p],
+                     collections.Counter())
+                    for p, (eq, de) in enumerate(_PAIR_KEYS[kind])
+                ])
+        results = _flux_step(ws, kind, columns, work, cf)
+        elapsed = time.perf_counter() - start
+        for j, groups, (sums, scales) in zip(live, work, results):
+            report, fold = reports[j], max if iteration == 1 else sum
+            report.pcg_steps += fold(counts["pcg_steps"] for _, _, counts in groups)
+            report.direct_solves += fold(counts["direct_solves"] for _, _, counts in groups)
+            value = _bound(sums, report.betas, constants, report.tail)
+            report.trace.append(TraceRow(iteration, elapsed, report.betas, value))
+            report.residual_sums, report.majorant_sq = sums, value
+            noise = _bound(scales, report.betas, constants, report.tail)
+            noise *= FORM_NOISE * np.finfo(float).eps
+            parts = (sums["r1"] + report.tail, sums["r2"], sums["r3"], sums["r4"])
+            if max(parts) == 0.0 or (
+                iteration > 1 and abs(report.trace[-2].majorant_sq - value) <= max(tol, noise)
+            ):
+                report.converged = True
+            elif iteration < maxit and kind == "forward":
+                report.betas = (beta_optimal(cf * cf * parts[0], parts[1]),)
+            elif iteration < maxit:
+                report.betas = beta_optimal_ocp(*parts, cf)
+    *modes, report = reports
+    modes = [replace(r, mode=k) for k, r in enumerate(modes)]
+    return replace(report, mode=mode, error_sq=error_sq, modes=modes)

@@ -596,10 +596,10 @@ def test_each_flux_step_minimizes_its_own_pair(monkeypatch, kind, alpha, mode):
     # a random direction d the bound is a parabola in that flux, whose
     # first difference vanishes against its second.  This pins the sign
     # and the time direction of every flux right-hand side.
-    steps = []
-    flux_step = estimator._flux_step
+    steps = []  # the fluxes of every step of every bound, as summed
+    residual_sums = estimator._residual_sums
     monkeypatch.setattr(
-        estimator, "_flux_step", lambda *args: steps.append(flux_step(*args)) or steps[-1]
+        estimator, "_residual_sums", lambda *args: steps.append(args[3]) or residual_sums(*args)
     )
     report = _majorant(kind, 2, 1, alpha=alpha, mode=mode, tol=0.0, maxit=2)
     assert len(report.trace) == 2  # iteration 2 is the weighted step
@@ -736,6 +736,63 @@ def test_concurrent_minimizations_share_one_factor(monkeypatch):
         assert (a.pcg_steps, a.direct_solves) == (b.pcg_steps, b.direct_solves)
 
 
+# Per bound (each mode's, then the total's) of ocp at mesh_n 4, N=2, alpha
+# 1e-4: (iterations, pcg_steps, direct_solves) and the squared bound of the
+# bounds minimized one by one.  About half of the weighted flux matrices
+# lie outside FLUX_BAND there and take one-shot factorizations.
+OUT_OF_BAND_BOUNDS = [
+    ((8, 55, 7), 1.1352193198574829e18),
+    ((8, 55, 7), 1.819840035952494e18),
+    ((8, 55, 7), 4.575748695569874e17),
+    ((8, 55, 7), 3.451221103006044e18),
+]
+
+
+def test_lock_step_keeps_the_out_of_band_solves():
+    # out-of-band groups share lock-step blocks with in-band ones and still
+    # take one one-shot factorization per (bound, pair) and step
+    report = _majorant("ocp", 4, 2, alpha=1e-4)
+    for bound, (counts, value) in zip(report.modes + [report], OUT_OF_BAND_BOUNDS):
+        assert (len(bound.trace), bound.pcg_steps, bound.direct_solves) == counts
+        np.testing.assert_allclose(bound.majorant_sq, value, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind, alpha", [("forward", None), ("ocp", 0.5)])
+def test_step_cap_falls_back_per_bound_and_pair(monkeypatch, kind, alpha):
+    # Past PCG_MAXIT steps a lock-step block falls back group by group: each
+    # bound's pair (in iteration 1 each mode's table) factors its own
+    # matrix, so every mode's bound of the joint call, solved in blocks with
+    # the other bounds, equals that mode bounded alone.
+    monkeypatch.setattr(estimator, "PCG_MAXIT", 2)
+    bench = build_benchmark(kind, 2, 1, alpha=alpha)
+    fields = {
+        name: full_field(bench.dofmap, f) for name, f in solve_benchmark(bench)[0].items()
+    }
+    consts = stability_constants(kind, "seminorm", bench.coefficients, alpha=alpha)
+    tail = remainder(bench.data_profile, PROFILE_NORM_SQ, bench.period)
+
+    def run(**part):
+        return minimize_majorant(
+            bench.mesh, bench.coefficients, bench.period, kind, fields["state"],
+            mode_evaluators(bench), consts, adjoint=fields.get("adjoint"), alpha=alpha,
+            **part,
+        )
+
+    report = run(tail=tail)
+    pairs = 1 if kind == "forward" else 2
+    assert report.direct_solves == 1 + pairs * (len(report.trace) - 1)
+    for k, joint in enumerate(report.modes):
+        alone = run(mode=k)
+        assert joint.direct_solves == 1 + pairs * (len(joint.trace) - 1)
+        assert joint.pcg_steps == 2 * joint.direct_solves
+        assert (joint.pcg_steps, joint.direct_solves) == (alone.pcg_steps, alone.direct_solves)
+        assert joint.converged == alone.converged and joint.betas == alone.betas
+        assert joint.residual_sums == alone.residual_sums
+        assert [row.majorant_sq for row in joint.trace] == [
+            row.majorant_sq for row in alone.trace
+        ]
+
+
 @pytest.mark.parametrize("other", ["mesh", "box", "sigma", "nu"])
 def test_minimize_majorant_refuses_another_problems_workspace(other):
     # a workspace of another mesh, even one of the same size, or of other
@@ -839,13 +896,13 @@ def test_reported_bound_is_the_quadrature_of_the_final_fluxes(monkeypatch, kind,
     # the reported bound and its residual sums are the reference
     # quadrature of the last flux step's fluxes up to rounding, and the
     # last trace row as computed
-    steps = []
-    flux_step = estimator._flux_step
+    steps = []  # the fluxes of every step of every bound, as summed
+    residual_sums = estimator._residual_sums
     monkeypatch.setattr(
-        estimator, "_flux_step", lambda *args: steps.append(flux_step(*args)) or steps[-1]
+        estimator, "_residual_sums", lambda *args: steps.append(args[3]) or residual_sums(*args)
     )
     report = _majorant(kind, 2, 1, alpha=alpha, error_sq=1.0)
-    # the modes' bounds run first, the total's steps are the last ones
+    # one flux step per iteration of every bound
     assert len(steps) == len(report.trace) + sum(len(m.trace) for m in report.modes)
     bench = build_benchmark(kind, 2, 1, alpha=alpha)
     fields, _ = solve_benchmark(bench)
@@ -854,7 +911,9 @@ def test_reported_bound_is_the_quadrature_of_the_final_fluxes(monkeypatch, kind,
     period, loads = bench.period, mode_evaluators(bench)
     sums = dict.fromkeys(("r1", "r2", "r3", "r4"), 0.0)
     pairs = 1 if kind == "forward" else 2
-    fluxes = iter(steps[-1])  # mode by mode, pair by pair, member by member
+    # the total's steps hold the most fluxes; a mode's bound may run on
+    final = [step for step in steps if len(step) == max(map(len, steps))][-1]
+    fluxes = iter(final)  # mode by mode, pair by pair, member by member
     for k in range(period.N + 1):
         members = 1 if k == 0 else 2
         flux = [tuple(next(fluxes) for _ in range(members)) for _ in range(pairs)]
