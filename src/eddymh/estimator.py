@@ -24,8 +24,12 @@ As any flux gives a valid bound, an inexact flux solve can only make it
 less sharp, never wrong: every flux matrix ``a K + b M`` is solved by
 conjugate gradients preconditioned with one shared factor of
 ``cf^2 K + M``, the matrix at unit Young parameters.  A case's bounds (each
-mode's and the total) run in lock-step, so one block solve per iteration
-serves every unfinished bound, each column at its own ``(a, b)``.
+mode's and the total) run in lock-step, so each iteration's block solves
+serve every unfinished bound, each column at its own ``(a, b)``.  From one
+iteration to the next a column's system changes only through ``(a, b)``,
+so each solve starts from the Galerkin projection of its system onto the
+fluxes its bound found before (Fischer's projection for successive
+right-hand sides, Comput. Methods Appl. Mech. Engrg. 163, 1998).
 """
 
 import collections
@@ -76,6 +80,10 @@ PCG_RTOL = 1e-10
 # shared factor's solve costs the same per column from about 16 on, and at
 # forward n=12, N=32 a cap of 64 raised the peak RSS by 5 MB (128: 50 MB).
 _BLOCK_COLUMNS = 32
+
+# Flux columns whose Galerkin starts share one product with K and with M:
+# with spans of up to three fluxes, no more vectors than a block.
+_SPAN_COLUMNS = 8
 
 
 @dataclass(frozen=True)
@@ -318,15 +326,18 @@ def efficiency_index(majorant_sq, error_sq):
     return majorant_sq / error_sq
 
 
-def _pcg(apply, precondition, rhs, live):
+def _pcg(apply, precondition, rhs, live, start=None):
     # Multi-column preconditioned CG on the columns ``live`` of rhs, from
-    # the preconditioned rhs; apply and precondition take a block and its
-    # columns' indices.  Every column stops at relative residual PCG_RTOL
-    # and drops out, so a zero column never divides.  Returns the solution,
-    # each column's steps and the live columns PCG_MAXIT steps left unsolved.
+    # ``start`` or else the preconditioned rhs; apply and precondition take
+    # a block and its columns' indices.  Every block is column-major, so a
+    # column's dot products and norms are summed alike at any block width.
+    # Every column stops at relative residual PCG_RTOL (its start may
+    # already meet it) and drops out, so a zero column never divides.
+    # Returns the solution, each column's steps and the live columns
+    # PCG_MAXIT steps left unsolved.
     goal = PCG_RTOL * np.linalg.norm(rhs, axis=0)
     todo = np.arange(rhs.shape[1])
-    x = precondition(rhs, todo)
+    x = precondition(rhs, todo) if start is None else start
     r = rhs - apply(x, todo)
     steps = np.zeros(todo.size, dtype=int)
     keep = live & (np.linalg.norm(r, axis=0) > goal)
@@ -389,7 +400,24 @@ class FluxWorkspace:
         matrix = curl_weight * self.stiffness + mass_weight * self.mass
         return splu(matrix.tocsc(), **SPD_SPLU).solve
 
-    def solve(self, curl_weight, mass_weight, rhs_list, anchor, counts):
+    def _galerkin_start(self, a, b, rhs, spans):
+        # x = V y per column, V its span, from V' (a K + b M) V y = V' rhs;
+        # _SPAN_COLUMNS columns' spans share one product with K and with M.
+        # V is column-major, so each span is alike whatever shares its chunk.
+        start = np.zeros_like(rhs)
+        for lo in range(0, len(spans), _SPAN_COLUMNS):
+            chunk = spans[lo : lo + _SPAN_COLUMNS]
+            v = np.array([u for span in chunk for u in span]).T
+            kv, mv = self.stiffness @ v, self.mass @ v
+            end = 0
+            for j, span in enumerate(chunk, lo):
+                s = slice(end, end := end + len(span))
+                av = a[j] * kv[:, s] + b[j] * mv[:, s]
+                y = np.linalg.lstsq(v[:, s].T @ av, v[:, s].T @ rhs[:, j], rcond=None)[0]
+                start[:, j] = v[:, s] @ y
+        return start
+
+    def solve(self, curl_weight, mass_weight, rhs_list, anchor, counts, spans=None):
         """Solutions of (curl_weight K + mass_weight M) x = r, one per r.
 
         Weights are numbers or one per r; ``counts`` is one dict or one
@@ -400,9 +428,17 @@ class FluxWorkspace:
         a curl weight, else the ``anchor K + M`` factor for each ratio
         within FLUX_BAND of ``anchor``.  A solve with a column outside the
         band or past PCG_MAXIT steps factors its matrix once.
+
+        ``spans``, one non-empty sequence of vectors per r, starts each
+        column from the Galerkin projection of its own system onto their
+        span instead of from the preconditioned r.  Its small Gram system
+        is solved by least squares, so a dependent span (a vector given
+        twice) serves too.  The stop does not change: a start that already
+        meets it takes 0 steps.  The solutions are views of one block.
         """
         rhs = np.asarray(rhs_list).T
         a, b = (np.broadcast_to(w, rhs.shape[1:]) for w in (curl_weight, mass_weight))
+        start = None if spans is None else self._galerkin_start(a, b, rhs, spans)
         live = np.ones(a.shape, dtype=bool)
         if not a.any():
             diagonal = self.mass.diagonal()[:, None]
@@ -421,9 +457,9 @@ class FluxWorkspace:
                 t = self.stiffness @ v
                 t *= a[cols]
                 q += t
-            return q
+            return np.asfortranarray(q)
 
-        x, steps, stuck = _pcg(apply, lambda r, cols: base(r) / b[cols], rhs, live)
+        x, steps, stuck = _pcg(apply, lambda r, cols: base(r) / b[cols], rhs, live, start)
         failed = ~live
         failed[stuck] = True
         groups = {}
@@ -493,12 +529,14 @@ def residual_forms(workspace, period, k, eta, fluxes, load, zeta=None, alpha=Non
 
 
 def _flux_step(ws, kind, columns, work, cf):
-    # One lock-step flux step: the residual sums and scales of each bound
-    # of ``work``, a list of groups (weights, column indices, counts) each.
-    # At weights (w_eq, w_def) a flux minimizes w_eq |G - curl t|^2 + w_def
-    # |t - nu curl phi|^2.  Whole groups, each once and the widest first (so
-    # no flux is held while the widest block runs) fill blocks, one ws.solve
-    # each; a bound's residuals are summed once every block is solved.
+    # One lock-step flux step: the residual sums and scales and the fluxes
+    # (by column index) of each bound of ``work``, a list of groups
+    # (weights, column indices, counts, spans) each; spans are None (a
+    # cold start) or one ws.solve span per column.  At weights (w_eq, w_def)
+    # a flux minimizes w_eq |G - curl t|^2 + w_def |t - nu curl phi|^2.
+    # Whole groups, each once and the widest first (so no flux is held
+    # while the widest block runs) fill blocks, one ws.solve each; a
+    # bound's residuals are summed once every block is solved.
     queue = sorted({id(g): g for groups in work for g in groups}.values(),
                    key=lambda g: len(g[1]), reverse=True)
     fluxes = {}
@@ -506,18 +544,20 @@ def _flux_step(ws, kind, columns, work, cf):
         block = [queue.pop(0)]
         while queue and sum(len(g[1]) for g in block + queue[:1]) <= _BLOCK_COLUMNS:
             block.append(queue.pop(0))
-        cols = [(w, i, counts) for w, rows, counts in block for i in rows]
+        cols = [(w, i, counts) for w, rows, counts, _ in block for i in rows]
         a, b = zip(*(w for w, _, _ in cols))
         rhs = np.array([
             w[0] * columns[i][5] + w[1] * (ws.pair_nu @ columns[i][2]) for w, i, _ in cols
         ])
-        solved = iter(ws.solve(a, b, rhs, cf * cf, [counts for _, _, counts in cols]))
+        spans = None if block[0][3] is None else [span for g in block for span in g[3]]
+        solved = iter(ws.solve(a, b, rhs, cf * cf, [counts for _, _, counts in cols], spans))
         fluxes.update(((id(g), i), next(solved)) for g in block for i in g[1])
-    sums = []
+    results = []
     for groups in work:
         mine = dict(sorted((i, fluxes[id(g), i]) for g in groups for i in g[1]))
-        sums.append(_residual_sums(ws, kind, [columns[i] for i in mine], list(mine.values())))
-    return sums
+        sums = _residual_sums(ws, kind, [columns[i] for i in mine], list(mine.values()))
+        results.append((*sums, mine))
+    return results
 
 
 @dataclass(eq=False)
@@ -604,11 +644,18 @@ def minimize_majorant(
     parameters, stop, trace and counts of PCG steps and one-shot
     factorizations.  Iteration 1's flux guess, the projection of nu curl
     applied to the fields, does not depend on the parameters, so each
-    column is projected once for every bound.  From iteration 2 on, one
-    block PCG (in blocks of _BLOCK_COLUMNS) solves the flux subproblems
-    of every unfinished bound, each pair at its bound's weights, to
-    relative residual PCG_RTOL, so a bound does not increase beyond
-    rounding.  Each bound's residuals are summed per tet in closed form,
+    column is projected once for every bound.  From iteration 2 on, block
+    PCG (in blocks of _BLOCK_COLUMNS) solves the flux subproblems of every
+    unfinished mode's bound, then the total's, each pair at its bound's
+    weights, to relative residual PCG_RTOL, so a bound does not increase
+    beyond rounding.  Each column starts from the Galerkin projection of
+    its system onto the fluxes its bound found for it in its last two flux
+    steps (the first being iteration 1's projection), and the total's also
+    onto the flux its mode's bound has just found.  A bound holds these
+    references, no copies, until it converges; a mode's bound reads no
+    other bound's, so it reports what ``mode=k`` alone does, up to the
+    rounding of SuperLU, which varies with a block's width from mesh_n 3
+    on.  Each bound's residuals are summed per tet in closed form,
     exact under the degree-5 rule; the reported bound, its residual sums
     and betas are the last trace row.  A Friedrichs constant below the
     mesh's bounding box's raises ValueError.
@@ -647,29 +694,43 @@ def minimize_majorant(
     unit = (1.0,) if kind == "forward" else (1.0,) * 3
     reports = [MajorantReport(kind, unit, None, 0.0, None, False, 0, 0) for _ in bounds]
     reports[-1].tail = tail
+    total = len(bounds) - 1
+    kept = [{} for _ in bounds]  # per bound: each column's last two fluxes
+
+    def weighted(j, fresh):
+        # bound j's groups, one per pair, each column spanned by its kept
+        # fluxes and its ``fresh`` ones
+        w = _weights(reports[j].betas, cf)
+        groups = []
+        for p, (eq, de) in enumerate(_PAIR_KEYS[kind]):
+            cols = [i for i in bounds[j] if columns[i][0] == p]
+            spans = [kept[j][i] + fresh.get(i, []) for i in cols]
+            groups.append(((w[eq], w[de]), cols, collections.Counter(), spans))
+        return groups
+
     for iteration in range(1, maxit + 1):
         live = [j for j, report in enumerate(reports) if not report.converged]
         if not live:
             break
         start = time.perf_counter()
         if iteration == 1:
-            shared = [((0.0, 1.0), table_rows, collections.Counter()) for table_rows in rows]
-            work = [[group] for group in shared][: len(bounds) - 1] + [shared]
+            shared = [((0.0, 1.0), table_rows, collections.Counter(), None) for table_rows in rows]
+            work = [[group] for group in shared][:total] + [shared]
+            solved = list(zip(live, work, _flux_step(ws, kind, columns, work, cf)))
         else:
-            work = []
-            for j in live:
-                w = _weights(reports[j].betas, cf)
-                work.append([
-                    ((w[eq], w[de]), [i for i in bounds[j] if columns[i][0] == p],
-                     collections.Counter())
-                    for p, (eq, de) in enumerate(_PAIR_KEYS[kind])
-                ])
-        results = _flux_step(ws, kind, columns, work, cf)
+            # the modes' bounds first: the total spans each column with the
+            # flux its mode's bound has just found too
+            solved, fresh = [], {}
+            for stage in ([j for j in live if j < total], [j for j in live if j == total]):
+                work = [weighted(j, fresh) for j in stage]
+                solved += zip(stage, work, _flux_step(ws, kind, columns, work, cf))
+                fresh = {i: [x] for *_, (_, _, mine) in solved for i, x in mine.items()}
         elapsed = time.perf_counter() - start
-        for j, groups, (sums, scales) in zip(live, work, results):
+        for j, groups, (sums, scales, mine) in solved:
             report, fold = reports[j], max if iteration == 1 else sum
-            report.pcg_steps += fold(counts["pcg_steps"] for _, _, counts in groups)
-            report.direct_solves += fold(counts["direct_solves"] for _, _, counts in groups)
+            report.pcg_steps += fold(counts["pcg_steps"] for _, _, counts, _ in groups)
+            report.direct_solves += fold(counts["direct_solves"] for _, _, counts, _ in groups)
+            kept[j] = {i: kept[j].get(i, [])[-1:] + [x] for i, x in mine.items()}
             value = _bound(sums, report.betas, constants, report.tail)
             report.trace.append(TraceRow(iteration, elapsed, report.betas, value))
             report.residual_sums, report.majorant_sq = sums, value
@@ -679,7 +740,7 @@ def minimize_majorant(
             if max(parts) == 0.0 or (
                 iteration > 1 and abs(report.trace[-2].majorant_sq - value) <= max(tol, noise)
             ):
-                report.converged = True
+                report.converged, kept[j] = True, None
             elif iteration < maxit and kind == "forward":
                 report.betas = (beta_optimal(cf * cf * parts[0], parts[1]),)
             elif iteration < maxit:

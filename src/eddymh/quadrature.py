@@ -7,8 +7,25 @@ Products of lowest-order edge functions need no rule: their mass integrals
 have a closed form in the barycentric coordinates.
 """
 
+import math
+
 import numpy as np
-from scipy.special import roots_jacobi
+
+
+def _gauss_jacobi(n, a, b):
+    # The n-point Gauss rule for the weight (1 - x)^a (1 + x)^b on [-1, 1]
+    # by Golub-Welsch: its nodes are the eigenvalues of the symmetric
+    # tridiagonal matrix of the monic Jacobi recurrence, its weights mu0
+    # (the weight's integral) times the squared first eigenvector entries.
+    # The diagonal's k = 0 entry is written as its limit, finite at a + b = 0.
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + a + b
+    diag = (b - a) * np.append(1.0, (a + b) / s[1:]) / (s + 2.0)
+    k, s = k[1:], s[1:]
+    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mu0 = 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(a + b + 2.0)
+    return nodes, mu0 * vectors[0] ** 2
 
 
 def conical_tet_rule(n):
@@ -30,9 +47,9 @@ def conical_tet_rule(n):
     weights : ndarray, shape (n**3,)
         Weights summing to 1/6.
     """
-    tu, wu = roots_jacobi(n, 2.0, 0.0)
-    tv, wv = roots_jacobi(n, 1.0, 0.0)
-    tw, ww = roots_jacobi(n, 0.0, 0.0)
+    tu, wu = _gauss_jacobi(n, 2.0, 0.0)
+    tv, wv = _gauss_jacobi(n, 1.0, 0.0)
+    tw, ww = _gauss_jacobi(n, 0.0, 0.0)
     # map [-1, 1] -> [0, 1]; the Jacobi weight absorbs the Jacobian factors
     u, cu = (1.0 + tu) / 2.0, wu / 8.0
     v, cv = (1.0 + tv) / 2.0, wv / 4.0

@@ -419,6 +419,38 @@ def test_one_estimator_call_per_case(tmp_path, monkeypatch):
                 assert eddymh.cli._report_entry(alone) == entry
 
 
+def test_joint_mode_bounds_match_single_mode_runs_at_any_size(tmp_path, monkeypatch):
+    # From mesh_n 3 on SuperLU rounds a column by its block's width, and the
+    # joint call solves a mode's columns in wider blocks than the mode
+    # alone: the counts still match, the bounds to a few ulps
+    calls = []
+    minimize = eddymh.cli.minimize_majorant
+
+    def counted_minimize(*args, **kwargs):
+        calls.append((args, kwargs))
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(eddymh.cli, "minimize_majorant", counted_minimize)
+    for command, fields in (("forward", {}), ("ocp", {"alphas": [0.5, 2.0]})):
+        calls.clear()
+        config = _write_config(tmp_path, mesh_n=4, truncation=2, **fields)
+        out = tmp_path / command
+        assert main([command, "--config", config, "--out", str(out)]) == EXIT_OK
+        cases = json.loads((out / "report.json").read_text(encoding="utf-8"))["cases"]
+        assert len(calls) == len(cases)
+        for (args, kwargs), case in zip(calls, cases):
+            assert len(case["modes"]) == 3
+            for k, entry in enumerate(case["modes"]):
+                error_sq = sum(e["semi_modes"][k] for e in case["errors"].values())
+                alone = eddymh.cli._report_entry(
+                    minimize(*args, **kwargs | {"mode": k, "tail": 0.0, "error_sq": error_sq})
+                )
+                for key in ("iterations", "converged", "direct_solves"):
+                    assert entry[key] == alone[key]
+                for key in ("majorant_sq", "i_eff", "betas"):
+                    np.testing.assert_allclose(entry[key], alone[key], rtol=1e-13, atol=0.0)
+
+
 def test_solver_failure_exit_code(tmp_path):
     config = _write_config(tmp_path, mesh_n=2, truncation=1, minres_maxit=2)
     out = tmp_path / "out"

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from eddymh.quadrature import (
     TET_P5_POINTS,
     TET_P5_WEIGHTS,
+    _gauss_jacobi,
     conical_tet_rule,
     gauss_time_rule,
 )
@@ -58,6 +63,26 @@ def test_conical_rule_exact_to_degree_9():
     for a, b, c in monomials_up_to(9):
         val = np.sum(wts * pts[:, 0] ** a * pts[:, 1] ** b * pts[:, 2] ** c)
         assert val == pytest.approx(monomial_integral(a, b, c), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("a", [2.0, 1.0, 0.0])  # the conical rule's three weights
+def test_gauss_jacobi_matches_scipy(n, a):
+    from scipy.special import roots_jacobi
+
+    nodes, weights = _gauss_jacobi(n, a, 0.0)
+    expected_nodes, expected_weights = roots_jacobi(n, a, 0.0)
+    np.testing.assert_allclose(nodes, expected_nodes, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(weights, expected_weights, rtol=1e-14)
+
+
+def test_import_leaves_scipy_special_out():
+    # scipy.special costs about a tenth of the package's import time, and
+    # the quadrature rules need none of it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, eddymh; sys.exit('scipy.special' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_conical_rules_agree_on_smooth_integrand():
