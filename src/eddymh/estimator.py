@@ -69,10 +69,8 @@ _PAIR_KEYS = {"forward": (("r1", "r2"),), "ocp": (("r3", "r2"), ("r1", "r4"))}
 # on its residual sums' term magnitudes: the sums' rounding noise.
 FORM_NOISE = 4.0
 
-# PCG off the shared factor serves flux matrices whose ratio a / b lies
-# within a factor FLUX_BAND of the factor's (the preconditioned spectrum
-# then lies in [1 / FLUX_BAND, FLUX_BAND]); each column stops at PCG_RTOL.
-FLUX_BAND = 8.0
+# Every flux column runs PCG and stops at PCG_RTOL; a group that PCG_MAXIT
+# steps leave unsolved factors its own matrix.
 PCG_MAXIT = 100
 PCG_RTOL = 1e-10
 
@@ -326,21 +324,21 @@ def efficiency_index(majorant_sq, error_sq):
     return majorant_sq / error_sq
 
 
-def _pcg(apply, precondition, rhs, live, start=None):
-    # Multi-column preconditioned CG on the columns ``live`` of rhs, from
-    # ``start`` or else the preconditioned rhs; apply and precondition take
-    # a block and its columns' indices.  Every block is column-major, so a
-    # column's dot products and norms are summed alike at any block width.
-    # Every column stops at relative residual PCG_RTOL (its start may
-    # already meet it) and drops out, so a zero column never divides.
-    # Returns the solution, each column's steps and the live columns
-    # PCG_MAXIT steps left unsolved.
+def _pcg(apply, precondition, rhs, start=None):
+    # Multi-column preconditioned CG on the columns of rhs, from ``start``
+    # or else the preconditioned rhs; apply and precondition take a block
+    # and its columns' indices.  Every block is column-major, so a column's
+    # dot products and norms are summed alike at any block width.  Every
+    # column stops at relative residual PCG_RTOL (its start may already
+    # meet it) and drops out, so a zero column never divides.  Returns the
+    # solution, each column's steps and the columns PCG_MAXIT steps left
+    # unsolved.
     goal = PCG_RTOL * np.linalg.norm(rhs, axis=0)
     todo = np.arange(rhs.shape[1])
     x = precondition(rhs, todo) if start is None else start
     r = rhs - apply(x, todo)
     steps = np.zeros(todo.size, dtype=int)
-    keep = live & (np.linalg.norm(r, axis=0) > goal)
+    keep = np.linalg.norm(r, axis=0) > goal
     todo, r = todo[keep], r[:, keep]
     p = precondition(r, todo)
     rz = np.einsum("ij,ij->j", r, p)
@@ -422,12 +420,12 @@ class FluxWorkspace:
 
         Weights are numbers or one per r; ``counts`` is one dict or one
         per r, and the columns sharing a dict (and weights) are one solve
-        that adds its most PCG steps ("pcg_steps") and one-shot
+        that adds its most PCG steps ("pcg_steps") and fallback
         factorizations ("direct_solves") to it.  One multi-column PCG,
-        weighting K and M per column, serves all: Jacobi if no column has
-        a curl weight, else the ``anchor K + M`` factor for each ratio
-        within FLUX_BAND of ``anchor``.  A solve with a column outside the
-        band or past PCG_MAXIT steps factors its matrix once.
+        weighting K and M per column, serves all, preconditioned by Jacobi
+        if no column has a curl weight, else by the ``anchor K + M`` factor
+        over each column's mass weight.  A solve that PCG_MAXIT steps leave
+        unsolved factors its matrix once.
 
         ``spans``, one non-empty sequence of vectors per r, starts each
         column from the Galerkin projection of its own system onto their
@@ -439,12 +437,10 @@ class FluxWorkspace:
         rhs = np.asarray(rhs_list).T
         a, b = (np.broadcast_to(w, rhs.shape[1:]) for w in (curl_weight, mass_weight))
         start = None if spans is None else self._galerkin_start(a, b, rhs, spans)
-        live = np.ones(a.shape, dtype=bool)
         if not a.any():
             diagonal = self.mass.diagonal()[:, None]
             base = lambda r: r / diagonal  # noqa: E731
         else:
-            live = (anchor / FLUX_BAND <= a / b) & (a / b <= anchor * FLUX_BAND)
             with self._lock:
                 if self._shared is None or self._shared[0] != anchor:
                     self._shared = (anchor, self.factor(anchor, 1.0))
@@ -459,15 +455,13 @@ class FluxWorkspace:
                 q += t
             return np.asfortranarray(q)
 
-        x, steps, stuck = _pcg(apply, lambda r, cols: base(r) / b[cols], rhs, live, start)
-        failed = ~live
-        failed[stuck] = True
+        x, steps, stuck = _pcg(apply, lambda r, cols: base(r) / b[cols], rhs, start)
         groups = {}
         for j, group in enumerate([counts] * a.size if isinstance(counts, dict) else counts):
             groups.setdefault(id(group), (group, []))[1].append(j)
         for group, cols in groups.values():
             group["pcg_steps"] += int(steps[cols].max())
-            if failed[cols].any():
+            if np.isin(cols, stuck).any():
                 group["direct_solves"] += 1
                 x[:, cols] = self.factor(a[cols[0]], b[cols[0]])(rhs[:, cols])
         return list(x.T)
@@ -641,7 +635,7 @@ def minimize_majorant(
     parameters in force during the flux solve, the bound they yield and
     the iteration's wall time.  Each mode's flux columns are built once;
     its bound and the total's run in lock-step, each with its own
-    parameters, stop, trace and counts of PCG steps and one-shot
+    parameters, stop, trace and counts of PCG steps and fallback
     factorizations.  Iteration 1's flux guess, the projection of nu curl
     applied to the fields, does not depend on the parameters, so each
     column is projected once for every bound.  From iteration 2 on, block

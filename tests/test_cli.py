@@ -183,8 +183,8 @@ def _log_uniform(low, high):
 def test_any_small_run_ends_in_a_documented_exit_code(
     command, preset, mesh_n, truncation, period, alphas
 ):
-    # extreme alphas push the flux matrices out of the shared factor's
-    # band, so this also runs the one-shot factorization path
+    # extreme alphas put the flux matrices' ratios far from the shared
+    # factor's, where PCG off it takes the most steps
     fields = {
         "mesh_n": mesh_n,
         "truncation": truncation,

@@ -435,7 +435,7 @@ def _assert_solves(solve, matrix, rhs):
 
 
 @pytest.mark.parametrize("n, box", DISSECTED_MESHES)
-def test_every_spd_factor_solves_its_matrix_in_dissection_order(n, box):
+def test_every_spd_factor_solves_its_matrix_in_dissection_order(monkeypatch, n, box):
     mesh = build_box_mesh(n, box)
     dof = DofMap.from_mesh(mesh)
     co = Coefficients.constant(mesh, 2.0, 0.5)
@@ -482,7 +482,8 @@ def test_every_spd_factor_solves_its_matrix_in_dissection_order(n, box):
     for curl_weight, mass_weight in ((cf2, 1.0), (2.0, 1.0)):
         matrix = curl_weight * ws.stiffness + mass_weight * ws.mass
         _assert_solves(ws.factor(curl_weight, mass_weight), matrix, flux_rhs)
-    # the one-shot fallback, through the solve that takes it
+    # the fallback past the PCG step cap, through the solve that takes it
+    monkeypatch.setattr(estimator, "PCG_MAXIT", 2)
     counts = {"pcg_steps": 0, "direct_solves": 0}
     got = ws.solve(2.0, 1.0, list(flux_rhs.T), cf2, counts)
     assert counts["direct_solves"] == 1
