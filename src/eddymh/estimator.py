@@ -23,13 +23,13 @@ and free of cancellation, both steer the minimization and report its bound.
 As any flux gives a valid bound, an inexact flux solve can only make it
 less sharp, never wrong: every flux matrix ``a K + b M`` is solved by
 conjugate gradients preconditioned with one shared factor of
-``cf^2 K + M``, the matrix at unit Young parameters.  A case's bounds (each
-mode's and the total) run in lock-step, so each iteration's block solves
-serve every unfinished bound, each column at its own ``(a, b)``.  From one
-iteration to the next a column's system changes only through ``(a, b)``,
-so each solve starts from the Galerkin projection of its system onto the
-fluxes its bound found before (Fischer's projection for successive
-right-hand sides, Comput. Methods Appl. Mech. Engrg. 163, 1998).
+``cf^2 K + M``, the matrix at unit Young parameters.  A case's mode bounds
+run in lock-step, so each iteration's block solves serve every unfinished
+bound, each column at its own ``(a, b)``.  From one iteration to the next
+a column's system changes only through ``(a, b)``, so each solve starts
+from the Galerkin projection of its system onto the fluxes its bound found
+before (Fischer's projection for successive right-hand sides, Comput.
+Methods Appl. Mech. Engrg. 163, 1998).
 """
 
 import collections
@@ -80,7 +80,7 @@ PCG_RTOL = 1e-10
 _BLOCK_COLUMNS = 32
 
 # Flux columns whose Galerkin starts share one product with K and with M:
-# with spans of up to three fluxes, no more vectors than a block.
+# with spans of up to two fluxes, no more vectors than a block.
 _SPAN_COLUMNS = 8
 
 
@@ -471,14 +471,15 @@ def _pairs(ws, period, k, weight, eta, zeta, load, alpha):
     # The flux columns of mode k, pair by pair, one per member: the pair's
     # index into _PAIR_KEYS, the time weight, the field phi, the tet means
     # Gbar of G and the oscillation |G - Gbar|^2, all from _pair_points,
-    # and the load part (Gbar, curl phi_e) of its flux right-hand sides.
+    # the load part (Gbar, curl phi_e) of its flux right-hand sides and
+    # nu curl phi per tet.
     columns = []
     points = _pair_points(ws.mesh, ws.coefficients, period, k, eta, zeta, load, alpha)
     for p, members in enumerate(points):
-        for phi, g, _ in members:
+        for phi, g, d in members:
             mean = 6.0 * np.einsum("q,tqi->ti", TET_P5_WEIGHTS, g)
             osc = integrate_squared(ws.mesh, g - mean[:, None, :])
-            columns.append((p, weight, phi, mean, osc, assemble_curl_load(ws.mesh, mean)))
+            columns.append((p, weight, phi, mean, osc, assemble_curl_load(ws.mesh, mean), d))
     return columns
 
 
@@ -496,10 +497,9 @@ def _residual_sums(ws, kind, columns, fluxes):
     # |a|^2 + |b|^2 + 2 |a.b| = |a - b|^2 + 4 max(a.b, 0) for a - b.
     mesh, vols = ws.mesh, basis_data(ws.mesh).vols
     sums, scales = dict.fromkeys(_KEYS, 0.0), dict.fromkeys(_KEYS, 0.0)
-    for (p, w, phi, mean, osc, *_), x in zip(columns, fluxes):
+    for (p, w, _, mean, osc, _, d), x in zip(columns, fluxes):
         eq_key, def_key = _PAIR_KEYS[kind][p]
         curl = fe_curls(mesh, x)
-        d = ws.coefficients.nu[:, None] * fe_curls(mesh, phi)
         v = fe_vertex_values(mesh, x) - d[:, None, :]
         total = np.einsum("tvi->ti", v)
         eq = osc + vols @ _dot(mean - curl, mean - curl)
@@ -528,11 +528,10 @@ def _flux_step(ws, kind, columns, work, cf):
     # (weights, column indices, counts, spans) each; spans are None (a
     # cold start) or one ws.solve span per column.  At weights (w_eq, w_def)
     # a flux minimizes w_eq |G - curl t|^2 + w_def |t - nu curl phi|^2.
-    # Whole groups, each once and the widest first (so no flux is held
-    # while the widest block runs) fill blocks, one ws.solve each; a
-    # bound's residuals are summed once every block is solved.
-    queue = sorted({id(g): g for groups in work for g in groups}.values(),
-                   key=lambda g: len(g[1]), reverse=True)
+    # Whole groups, the widest first (so no flux is held while the widest
+    # block runs) fill blocks, one ws.solve each; a bound's residuals are
+    # summed once every block is solved.
+    queue = sorted((g for groups in work for g in groups), key=lambda g: len(g[1]), reverse=True)
     fluxes = {}
     while queue:
         block = [queue.pop(0)]
@@ -544,11 +543,11 @@ def _flux_step(ws, kind, columns, work, cf):
             w[0] * columns[i][5] + w[1] * (ws.pair_nu @ columns[i][2]) for w, i, _ in cols
         ])
         spans = None if block[0][3] is None else [span for g in block for span in g[3]]
-        solved = iter(ws.solve(a, b, rhs, cf * cf, [counts for _, _, counts in cols], spans))
-        fluxes.update(((id(g), i), next(solved)) for g in block for i in g[1])
+        solved = ws.solve(a, b, rhs, cf * cf, [counts for _, _, counts in cols], spans)
+        fluxes.update(zip((i for _, i, _ in cols), solved))
     results = []
     for groups in work:
-        mine = dict(sorted((i, fluxes[id(g), i]) for g in groups for i in g[1]))
+        mine = {i: fluxes[i] for i in sorted(i for g in groups for i in g[1])}
         sums = _residual_sums(ws, kind, [columns[i] for i in mine], list(mine.values()))
         results.append((*sums, mine))
     return results
@@ -618,8 +617,9 @@ def minimize_majorant(
     adjoint : FourierField, required for the ocp.
     mode : int, optional
         Restrict to a single mode (with its own time weight); the default
-        sums modes 0..N plus the data remainder ``tail`` and also bounds
-        each mode alone (``modes``), so wanting the total costs both.
+        bounds each mode 0..N (``modes``) and sums them into the total.
+    tail : float, the total's data remainder (T/2) sum_{k > N} |f_k|^2;
+        a single mode refuses a nonzero one (ValueError).
     error_sq : float, optional
         Squared true error quantity that ``efficiency`` divides by.
     workspace : FluxWorkspace, optional
@@ -634,25 +634,31 @@ def minimize_majorant(
     Returns a MajorantReport whose trace records, per iteration, the
     parameters in force during the flux solve, the bound they yield and
     the iteration's wall time.  Each mode's flux columns are built once;
-    its bound and the total's run in lock-step, each with its own
-    parameters, stop, trace and counts of PCG steps and fallback
-    factorizations.  Iteration 1's flux guess, the projection of nu curl
-    applied to the fields, does not depend on the parameters, so each
-    column is projected once for every bound.  From iteration 2 on, block
+    the modes' bounds run in lock-step, each with its own parameters,
+    stop, trace and counts of PCG steps and fallback factorizations.
+    Iteration 1 projects nu curl of the fields; from iteration 2 on, block
     PCG (in blocks of _BLOCK_COLUMNS) solves the flux subproblems of every
-    unfinished mode's bound, then the total's, each pair at its bound's
-    weights, to relative residual PCG_RTOL, so a bound does not increase
-    beyond rounding.  Each column starts from the Galerkin projection of
-    its system onto the fluxes its bound found for it in its last two flux
-    steps (the first being iteration 1's projection), and the total's also
-    onto the flux its mode's bound has just found.  A bound holds these
-    references, no copies, until it converges; a mode's bound reads no
-    other bound's, so it reports what ``mode=k`` alone does, up to the
-    rounding of SuperLU, which varies with a block's width from mesh_n 3
-    on.  Each bound's residuals are summed per tet in closed form,
-    exact under the degree-5 rule; the reported bound, its residual sums
-    and betas are the last trace row.  A Friedrichs constant below the
-    mesh's bounding box's raises ValueError.
+    unfinished bound at its weights to relative residual PCG_RTOL, so a
+    bound does not increase beyond rounding.  Each column starts from the
+    Galerkin projection of its system onto the fluxes its bound found in
+    its last two flux steps, held by reference until the bound converges.
+    A bound reads no other bound's, so it reports what ``mode=k`` alone
+    does, up to SuperLU rounding, which varies with a block's width from
+    mesh_n 3 on.  Its residuals are summed per tet in closed form, exact
+    under the degree-5 rule; its bound, residual sums and betas are the
+    last trace row.  A Friedrichs constant below the mesh's bounding box's
+    raises ValueError.
+
+    The total is the modes' bounds plus the tail's, ``cf^2 (1 +
+    BETA_MIN)^p tail / lower^2`` (p = 1 forward, 2 ocp), and guaranteed:
+    by Parseval the squared error is the time-weighted sum of the modes',
+    each mode's bound holds at its own fluxes and parameters, and a
+    truncated mode k > N (zero approximation and flux) is bounded by
+    ``cf^2 (1 + beta)^p |f_k|^2 / lower^2`` at any beta > 0.  A sum of
+    separate minima never exceeds the minimum of the sum, so the total is
+    at most one minimized over parameters shared by all modes.  Its sums
+    and counts are the modes' sums; it has no betas, trace or iterations
+    of its own and converged when every mode did.
     """
     if kind not in ("forward", "ocp"):
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -665,6 +671,8 @@ def minimize_majorant(
         raise ValueError("field truncation does not match the period's mode count")
     if mode is not None and not 0 <= mode <= period.N:
         raise ValueError(f"mode {mode} outside 0..{period.N}")
+    if mode is not None and tail != 0.0:
+        raise ValueError("the data remainder tail belongs to the total, not to one mode")
     cf = constants.friedrichs
     if cf < friedrichs_constant(np.ptp(mesh.vertices, axis=0)) * (1.0 - 1e-12):
         raise ValueError(f"Friedrichs constant {cf!r} is below the domain's")
@@ -674,63 +682,47 @@ def minimize_majorant(
         and np.array_equal(ws.coefficients.nu, coefficients.nu)
     ):
         raise ValueError("flux workspace was built for another mesh or coefficients")
+    ks = range(period.N + 1) if mode is None else [int(mode)]
     tables = [
         _pairs(ws, period, k, period.T if k == 0 else 0.5 * period.T, state.mode(k),
-               None if adjoint is None else adjoint.mode(k), loads(k), alpha)
-        for k in (range(period.N + 1) if mode is None else [int(mode)])
+               None if adjoint is None else adjoint.mode(k), loads(k), alpha) for k in ks
     ]
-    # each mode's bound (unless one is asked for), then the total's; in
-    # iteration 1 a bound counts the most of its tables' shared solves
     columns = [column for table in tables for column in table]
     ends = np.cumsum([len(table) for table in tables])
     rows = [range(end - len(table), end) for table, end in zip(tables, ends)]
-    bounds = ([] if mode is not None else rows) + [range(len(columns))]
     unit = (1.0,) if kind == "forward" else (1.0,) * 3
-    reports = [MajorantReport(kind, unit, None, 0.0, None, False, 0, 0) for _ in bounds]
-    reports[-1].tail = tail
-    total = len(bounds) - 1
-    kept = [{} for _ in bounds]  # per bound: each column's last two fluxes
+    reports = [MajorantReport(kind, unit, None, 0.0, None, False, 0, 0, mode=k) for k in ks]
+    kept = [{} for _ in rows]  # per bound: each column's last two fluxes
 
-    def weighted(j, fresh):
-        # bound j's groups, one per pair, each column spanned by its kept
-        # fluxes and its ``fresh`` ones
+    def work(j, iteration):
+        # bound j's groups: in iteration 1 its table's mass projection, then
+        # one per pair at its weights, each column spanned by its kept fluxes
+        if iteration == 1:
+            return [((0.0, 1.0), rows[j], collections.Counter(), None)]
         w = _weights(reports[j].betas, cf)
-        groups = []
-        for p, (eq, de) in enumerate(_PAIR_KEYS[kind]):
-            cols = [i for i in bounds[j] if columns[i][0] == p]
-            spans = [kept[j][i] + fresh.get(i, []) for i in cols]
-            groups.append(((w[eq], w[de]), cols, collections.Counter(), spans))
-        return groups
+        pairs = [[i for i in rows[j] if columns[i][0] == p] for p in range(len(_PAIR_KEYS[kind]))]
+        return [((w[eq], w[de]), cols, collections.Counter(), [kept[j][i] for i in cols])
+                for (eq, de), cols in zip(_PAIR_KEYS[kind], pairs)]
 
     for iteration in range(1, maxit + 1):
         live = [j for j, report in enumerate(reports) if not report.converged]
         if not live:
             break
         start = time.perf_counter()
-        if iteration == 1:
-            shared = [((0.0, 1.0), table_rows, collections.Counter(), None) for table_rows in rows]
-            work = [[group] for group in shared][:total] + [shared]
-            solved = list(zip(live, work, _flux_step(ws, kind, columns, work, cf)))
-        else:
-            # the modes' bounds first: the total spans each column with the
-            # flux its mode's bound has just found too
-            solved, fresh = [], {}
-            for stage in ([j for j in live if j < total], [j for j in live if j == total]):
-                work = [weighted(j, fresh) for j in stage]
-                solved += zip(stage, work, _flux_step(ws, kind, columns, work, cf))
-                fresh = {i: [x] for *_, (_, _, mine) in solved for i, x in mine.items()}
+        todo = [work(j, iteration) for j in live]
+        solved = zip(live, todo, _flux_step(ws, kind, columns, todo, cf))
         elapsed = time.perf_counter() - start
         for j, groups, (sums, scales, mine) in solved:
-            report, fold = reports[j], max if iteration == 1 else sum
-            report.pcg_steps += fold(counts["pcg_steps"] for _, _, counts, _ in groups)
-            report.direct_solves += fold(counts["direct_solves"] for _, _, counts, _ in groups)
+            report = reports[j]
+            report.pcg_steps += sum(counts["pcg_steps"] for _, _, counts, _ in groups)
+            report.direct_solves += sum(counts["direct_solves"] for _, _, counts, _ in groups)
             kept[j] = {i: kept[j].get(i, [])[-1:] + [x] for i, x in mine.items()}
-            value = _bound(sums, report.betas, constants, report.tail)
+            value = _bound(sums, report.betas, constants, 0.0)
             report.trace.append(TraceRow(iteration, elapsed, report.betas, value))
             report.residual_sums, report.majorant_sq = sums, value
-            noise = _bound(scales, report.betas, constants, report.tail)
+            noise = _bound(scales, report.betas, constants, 0.0)
             noise *= FORM_NOISE * np.finfo(float).eps
-            parts = (sums["r1"] + report.tail, sums["r2"], sums["r3"], sums["r4"])
+            parts = [sums[key] for key in _KEYS]
             if max(parts) == 0.0 or (
                 iteration > 1 and abs(report.trace[-2].majorant_sq - value) <= max(tol, noise)
             ):
@@ -739,6 +731,12 @@ def minimize_majorant(
                 report.betas = (beta_optimal(cf * cf * parts[0], parts[1]),)
             elif iteration < maxit:
                 report.betas = beta_optimal_ocp(*parts, cf)
-    *modes, report = reports
-    modes = [replace(r, mode=k) for k, r in enumerate(modes)]
-    return replace(report, mode=mode, error_sq=error_sq, modes=modes)
+    if mode is not None:
+        return replace(reports[0], error_sq=error_sq)
+    tail_sq = _bound(dict.fromkeys(_KEYS, 0.0), (BETA_MIN,) * len(unit), constants, tail)
+    sums = {key: sum(r.residual_sums[key] for r in reports) for key in _KEYS}
+    return MajorantReport(
+        kind, (), sums, tail, sum(r.majorant_sq for r in reports) + tail_sq,
+        all(r.converged for r in reports), sum(r.pcg_steps for r in reports),
+        sum(r.direct_solves for r in reports), error_sq=error_sq, modes=reports,
+    )
