@@ -5,8 +5,8 @@ system of a distributed optimal control problem constrained by it) with a
 truncated Fourier series in time and lowest-order Nedelec elements in space,
 solves the decoupled mode systems with a preconditioned MINRES iteration, and
 computes guaranteed, fully computable upper bounds for the discretization
-error in the natural space-time norm.  The names imported here are its
-public API.
+error in the half-derivative space-time seminorm.  The names imported here
+are its public API.
 """
 
 from .edge_fem import Coefficients, DofMap, assemble, assemble_load

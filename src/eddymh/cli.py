@@ -1,13 +1,14 @@
 """Command-line runner for the benchmark problems and self checks.
 
 ``forward`` and ``ocp`` solve the selected benchmark, minimize the
-guaranteed error bound per mode and in total, and write one CSV table
-per mode plus a JSON report into the output directory.  ``ocp`` sweeps
-the configured list of cost parameters; one mesh, one set of system
-matrices and one flux workspace serve every alpha.  ``verify`` runs a fast
-self-check suite (element quadrature, gauge kernel, Fourier identities,
-dense-solve agreement, Friedrichs eigenvalue, residual forms, guaranteed
-bound) and prints a pass/fail table.
+guaranteed error bound of every mode, add the mode bounds and the data
+tail's bound into the total, and write one CSV table per mode plus a JSON
+report into the output directory.  ``ocp`` sweeps the configured list of
+cost parameters; one mesh, one set of system matrices and one flux
+workspace serve every alpha.  ``verify`` runs a fast self-check suite
+(element quadrature, gauge kernel, Fourier identities, dense-solve
+agreement, Friedrichs eigenvalue, residual forms, guaranteed bound) and
+prints a pass/fail table.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 guaranteed-bound violation, 5 failed self check.
@@ -131,8 +132,6 @@ class RunConfig:
     majorant_maxit: int = 50
     friedrichs: float = None
     exact_substitution: bool = False
-    output: str = None
-    write_mesh: bool = False
 
     @classmethod
     def from_dict(cls, data):
@@ -181,8 +180,6 @@ class RunConfig:
             if not _is_positive_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite positive number")
         alphas = self.alphas
-        if _is_positive_number(alphas):
-            alphas = (alphas,)
         if not (
             isinstance(alphas, (list, tuple))
             and alphas
@@ -196,11 +193,8 @@ class RunConfig:
             _is_positive_number(self.friedrichs) and self.friedrichs <= MAX_FRIEDRICHS
         ):
             raise ConfigError(f"friedrichs must be a positive number <= {MAX_FRIEDRICHS:g}")
-        if self.output is not None and not isinstance(self.output, str):
-            raise ConfigError("output must be a directory path string")
-        for name in ("exact_substitution", "write_mesh"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be a boolean")
+        if not isinstance(self.exact_substitution, bool):
+            raise ConfigError("exact_substitution must be a boolean")
 
     def resolve_preset(self, problem):
         """Internal data-set name for ``problem``, after consistency checks."""
@@ -447,9 +441,10 @@ def _case_entry(case):
     return entry
 
 
-def _write_report(out_dir, config, problem, cases):
+def _write_report(out_dir, config, bench, cases):
+    mesh = bench.mesh
     report = {
-        "problem": problem,
+        "problem": bench.kind,
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -460,6 +455,14 @@ def _write_report(out_dir, config, problem, cases):
             },
         },
         "config": dataclasses.asdict(config),
+        "mesh": {
+            "vertices": mesh.num_vertices,
+            "tets": mesh.num_tets,
+            "edges": mesh.num_edges,
+            "boundary_edges": len(mesh.boundary_edges),
+            "free_edges": len(bench.dofmap.free),
+            "interior_nodes": len(mesh.interior_nodes()),
+        },
         "constants": [dataclasses.asdict(case.constants) for case in cases],
         "cases": [_case_entry(case) for case in cases],
         "bound_satisfied": all(case.bound_ok() for case in cases),
@@ -470,19 +473,6 @@ def _write_report(out_dir, config, problem, cases):
         handle.write("\n")
 
 
-def _write_mesh_summary(out_dir, bench):
-    mesh, dofmap = bench.mesh, bench.dofmap
-    lines = [
-        f"vertices {mesh.num_vertices}",
-        f"tets {mesh.num_tets}",
-        f"edges {mesh.num_edges}",
-        f"boundary_edges {len(mesh.boundary_edges)}",
-        f"free_edges {len(dofmap.free)}",
-        f"interior_nodes {len(mesh.interior_nodes())}",
-    ]
-    (out_dir / "mesh.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def run(problem, config, out_dir, threads=None, verbose=False):
     """Solve, bound and tabulate a forward run or an ocp alpha sweep."""
     bench, cases = _sweep(problem, config, threads, verbose)
@@ -491,9 +481,7 @@ def run(problem, config, out_dir, threads=None, verbose=False):
         _write_forward_tables(out_dir, cases[0])
     else:
         _write_ocp_tables(out_dir, cases)
-    _write_report(out_dir, config, problem, cases)
-    if config.write_mesh:
-        _write_mesh_summary(out_dir, bench)
+    _write_report(out_dir, config, bench, cases)
     print(f"{problem} run complete; tables written to {out_dir}")
     if not all(case.bound_ok() for case in cases):
         print("guaranteed bound violated; see report.json", file=sys.stderr)
@@ -709,7 +697,8 @@ def _build_parser():
         commands[name].add_argument(
             "--out",
             metavar="DIR",
-            help="output directory (overrides the config's output field)",
+            default="eddymh-out",
+            help="output directory (default %(default)s)",
         )
         commands[name].add_argument(
             "--verbose", action="store_true", help="per-mode progress"
@@ -732,7 +721,7 @@ def main(argv=None):
             config = RunConfig()
         if args.command == "verify":
             return run_verify(config)
-        out_dir = Path(args.out or config.output or "eddymh-out")
+        out_dir = Path(args.out)
         return run(args.command, config, out_dir, threads, args.verbose)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -105,41 +105,28 @@ def stability_constants(problem, quantity, coefficients, alpha=None, friedrichs=
     Parameters
     ----------
     problem : {"forward", "ocp"}
-    quantity : {"seminorm", "norm"}
-        Which error quantity the majorant is meant to bound.
+    quantity : {"seminorm"}
+        The error quantity the majorant bounds: the half-derivative seminorm.
     coefficients : Coefficients
         Supplies the essential bounds of sigma and nu.
     alpha : float, required for the control problem
     friedrichs : float, optional
         Defaults to the unit-cube constant 1/(sqrt(2) pi).
     """
+    if quantity != "seminorm":
+        raise ValueError(f"unknown quantity {quantity!r}")
     cf = friedrichs_constant() if friedrichs is None else float(friedrichs)
     s_lo, s_hi = float(coefficients.sigma.min()), float(coefficients.sigma.max())
     n_lo, n_hi = float(coefficients.nu.min()), float(coefficients.nu.max())
     if problem == "forward":
-        if quantity == "seminorm":
-            lower = min(n_lo, s_lo) / math.sqrt(2.0)
-        elif quantity == "norm":
-            lower = min(n_lo / (1.0 + cf * cf), s_lo) / math.sqrt(2.0)
-        else:
-            raise ValueError(f"unknown quantity {quantity!r}")
+        lower = min(n_lo, s_lo) / math.sqrt(2.0)
         upper = max(s_hi, n_hi)
     elif problem == "ocp":
         if alpha is None or not alpha > 0.0:
             raise ValueError("ocp constants need alpha > 0")
         inv = 1.0 / alpha
-        if quantity == "seminorm":
-            lower = min(n_lo, s_lo) * min(alpha, inv) / math.sqrt(2.0)
-            upper = (1.0 + cf * cf) * max(1.0, inv, n_hi, s_hi)
-        elif quantity == "norm":
-            lower = (
-                min(1.0 / math.sqrt(alpha), n_lo, s_lo)
-                * min(math.sqrt(alpha), 1.0 / math.sqrt(alpha))
-                / math.sqrt(1.0 + 2.0 * max(alpha, inv))
-            )
-            upper = max(1.0, inv, n_hi, s_hi)
-        else:
-            raise ValueError(f"unknown quantity {quantity!r}")
+        lower = min(n_lo, s_lo) * min(alpha, inv) / math.sqrt(2.0)
+        upper = (1.0 + cf * cf) * max(1.0, inv, n_hi, s_hi)
     else:
         raise ValueError(f"unknown problem {problem!r}")
     return StabilityConstants(lower, upper, cf)

@@ -107,23 +107,21 @@ def fourier_coeff(g, k, period, m=None):
     return float(c), float(s)
 
 
-def remainder(g, spatial_norm_sq, period, N=None):
-    """Parseval tail of separable data g(t) s(x) beyond mode N.
+def remainder(g, spatial_norm_sq, period):
+    """Parseval tail of separable data g(t) s(x) beyond mode ``period.N``.
 
     Returns ``(||g||^2_{L2(0,T)} - T mean^2 - (T/2) sum_{k<=N}(c_k^2+s_k^2))
     * spatial_norm_sq``, clamped at zero against quadrature noise.  The
     time rule resolves every subtracted mode, as in ``fourier_coeff``.
     """
-    if N is None:
-        N = period.N
-    t, w = _time_rule(period, harmonic=N)
+    t, w = _time_rule(period, harmonic=period.N)
     vals = np.asarray(g(t), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("signal produced non-finite values")
     total = float(np.dot(w, vals * vals))
     mean = float(np.dot(w, vals) / period.T)
     tail = total - period.T * mean**2
-    for k in range(1, N + 1):
+    for k in range(1, period.N + 1):
         arg = k * period.omega * t
         c = 2.0 / period.T * np.dot(w, vals * np.cos(arg))
         s = 2.0 / period.T * np.dot(w, vals * np.sin(arg))

@@ -77,6 +77,9 @@ def test_config_defaults_and_roundtrip():
         {"preset": 1},
         {"alphas": True},
         {"alphas": [True]},
+        {"output": "x"},
+        {"write_mesh": True},
+        {"alphas": 1.0},
     ],
 )
 def test_config_rejects_bad_fields(fields):
@@ -458,7 +461,8 @@ def test_solver_failure_exit_code(tmp_path):
 
 
 def test_forward_run_tables(tmp_path):
-    config = _write_config(tmp_path, mesh_n=2, truncation=1, write_mesh=True)
+    mesh_n = 2
+    config = _write_config(tmp_path, mesh_n=mesh_n, truncation=1)
     out = tmp_path / "out"
     assert main(["forward", "--config", config, "--out", str(out)]) == EXIT_OK
     for k in (0, 1):
@@ -480,10 +484,13 @@ def test_forward_run_tables(tmp_path):
     assert [entry["mode"] for entry in case["minres"]] == [0, 1]
     assert all(entry["converged"] for entry in case["minres"])
     assert all(entry["seconds"] >= 0.0 for entry in case["minres"])
-    mesh_lines = (out / "mesh.txt").read_text(encoding="utf-8").splitlines()
-    counts = dict(line.split() for line in mesh_lines)
-    assert counts["tets"] == "48"
-    assert counts["free_edges"] == "26"
+    counts = report["mesh"]
+    assert set(counts) == {
+        "vertices", "tets", "edges", "boundary_edges", "free_edges", "interior_nodes"
+    }
+    assert counts["tets"] == 6 * mesh_n**3
+    assert counts["free_edges"] == 26
+    assert not (out / "mesh.txt").exists()
 
 
 def test_verbose_run_prints_flux_solve_counts(tmp_path, capsys):

@@ -84,16 +84,15 @@ def test_fourier_coeff_rejects_nonfinite():
 
 def test_remainder_trivial_cases():
     p = PeriodSpec(TWO_PI, 1)
-    assert remainder(lambda t: np.sin(t), 3.0, p, N=1) == pytest.approx(0.0, abs=1e-10)
+    assert remainder(lambda t: np.sin(t), 3.0, p) == pytest.approx(0.0, abs=1e-10)
     g = lambda t: np.sin(t) + np.sin(2 * t)
     # dropped mode carries (T/2) * ||s||^2
-    assert remainder(g, 3.0, p, N=1) == pytest.approx(0.5 * TWO_PI * 3.0, rel=1e-12)
+    assert remainder(g, 3.0, p) == pytest.approx(0.5 * TWO_PI * 3.0, rel=1e-12)
 
 
 def test_remainder_exp_sin_tail_oracle():
-    p = PeriodSpec(TWO_PI, 1)
     g = lambda t: np.exp(t) * np.sin(t)
-    values = [remainder(g, 1.0, p, N=N) for N in range(6)]
+    values = [remainder(g, 1.0, PeriodSpec(TWO_PI, N)) for N in range(6)]
     assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
     for N in (1, 2, 4):
         tail = sum(
