@@ -244,21 +244,31 @@ def available_cores():
         return os.cpu_count() or 1
 
 
+# The mean mode shares P* while kw* = omega sqrt(N) is at most this, and
+# factors its own above it.  On P* its MINRES count grows with kw*: at
+# n = 4 from 5 on its own factor to 8 at kw* = 10 and 17 at 100 (forward),
+# and from 8 to 20 and 62 (ocp, alpha 31.6).  Up to 10 it takes no more
+# steps than the slowest mode k >= 1 on P* at N = 64, and every
+# default-period run (kw* = sqrt(N) <= 8) shares.
+MEAN_SHARE_BAND = 10.0
+
+
 def shared_factor(bench):
-    """The preconditioner factor that every mode k >= 1 of ``bench`` shares.
+    """The preconditioner factor P* that the modes of ``bench`` share.
 
     It is P at kw* = omega sqrt(N), the geometric middle of the harmonics'
-    frequencies [omega, N omega].  A case then factors once instead of N
+    frequencies [omega, N omega].  A case then factors once instead of N + 1
     times, and MINRES counts stay close to those of per-mode factors: at
-    n = 4 and N = 64 the worst mode takes 26 iterations against 21
-    (forward) and 26 against 22 (ocp, alpha 31.6).
+    n = 4 and N = 64 the worst mode k >= 1 takes 26 iterations against 21
+    (forward) and 26 against 22 (ocp, alpha 31.6).  The mean mode shares it
+    inside ``MEAN_SHARE_BAND``.
     """
     kw = bench.period.omega * math.sqrt(bench.period.N)
     return mode_factor(bench.matrices, kw, bench.alpha if bench.kind == "ocp" else None)
 
 
 def _solve_one_mode(bench, k, lu, tol, maxit):
-    # Returns only the solution and its stats, so the system (and the mean
+    # Returns only the solution and its stats, so the system (and a mean
     # mode's own factors) is freed when the task ends rather than when the
     # whole solve does.
     loads = bench.mode_load(k)
@@ -272,23 +282,25 @@ def _solve_one_mode(bench, k, lu, tol, maxit):
 def solve_benchmark(bench, tol=1e-10, maxit=2000):
     """Solve all modes 0..N; returns ({"state": ..., "adjoint": ...}, stats).
 
-    The modes are independent systems, so they are solved concurrently,
-    one thread per available core (at most one per mode); SuperLU releases
-    the interpreter lock while it factors and solves.  The mean mode, which
-    factors its own preconditioner, starts first; meanwhile the calling
-    thread factors ``shared_factor``, and then modes 1..N solve with it.
-    Results keep mode order; the first failing mode's exception is raised.
+    The calling thread factors ``shared_factor`` once.  Then the modes,
+    which are independent systems, are solved concurrently with it, one
+    thread per available core (at most one per mode); SuperLU releases the
+    interpreter lock while it solves.  The mean mode shares the factor
+    while kw* is inside ``MEAN_SHARE_BAND``, so a default-period case holds
+    one mode factor; above the band, and at N = 0, where there is no P*
+    (at kw* = 0 it would be the floored, nearly singular K), the mean mode
+    factors its own.  Results keep mode order; the first failing mode's
+    exception is raised.
     """
     N = bench.period.N
+    lu = shared_factor(bench) if N > 0 else None
+    inside = bench.period.omega * math.sqrt(N) <= MEAN_SHARE_BAND
+    factors = [lu if inside else None] + [lu] * N
     with ThreadPoolExecutor(max_workers=min(N + 1, available_cores())) as pool:
-        mean = pool.submit(_solve_one_mode, bench, 0, None, tol, maxit)
-        # Factored here rather than in a worker: a worker thread keeps its
-        # heap high-water mark resident, and factoring in one raised the
-        # peak RSS of an ocp sweep (n = 6, N = 2) from 102 to 114 MB.
-        lu = shared_factor(bench) if N > 0 else None
         # map submits every mode at once; results are read in mode order
-        rest = pool.map(lambda k: _solve_one_mode(bench, k, lu, tol, maxit), range(1, N + 1))
-        solved = [mean.result()] + list(rest)
+        solved = list(
+            pool.map(lambda k: _solve_one_mode(bench, k, factors[k], tol, maxit), range(N + 1))
+        )
     fields = {}
     for name, c, s in (("state", "y_c", "y_s"), ("adjoint", "p_c", "p_s")):
         if c in solved[0][0]:

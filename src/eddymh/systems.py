@@ -8,9 +8,11 @@ with block-diagonal preconditioners built from one SPD factor:
 K + kw M_sigma for the forward problem, M + sqrt(alpha) (K + kw M_sigma)
 for the control problem (the sqrt(alpha) weighting keeps iteration counts
 flat across many decades of alpha).  ``mode_factor`` builds it for any
-frequency kw; a mode k >= 1 factors its own at kw = k w unless it is given
-one, so that a whole case can share one factor at a middle frequency.  The
-mean mode always factors its own, which does not depend on w.  Each mode's
+frequency kw.  Every builder takes an optional factor ``lu``, so that a
+whole case can share one factor at a middle frequency, the mean mode while
+that frequency is small (``presets.MEAN_SHARE_BAND``).  Without it a mode
+k >= 1 factors its own at kw = k w and the mean mode its own at kw = 1
+(forward) or kw = 0 (control), which do not depend on w.  Each mode's
 operator is one sparse block matrix, so a MINRES step does one sparse
 product, and one preconditioner application is a single multi-column solve
 with the factor, one column per block.
@@ -236,9 +238,9 @@ def mode_factor(matrices, kw, alpha=None):
     """Factor of the SPD preconditioner block P at mode frequency ``kw``.
 
     P = K + kw Ms for the forward problem (``alpha`` None) and
-    P = M + sqrt(alpha) (K + kw Ms) for the optimality system.  The mean
-    modes factor theirs here too: K + Ms at kw = 1 (forward) and
-    M + sqrt(alpha) K at kw = 0 (optimality system).
+    P = M + sqrt(alpha) (K + kw Ms) for the optimality system.  A mean
+    mode given no factor factors its own here too: K + Ms at kw = 1
+    (forward) and M + sqrt(alpha) K at kw = 0 (optimality system).
 
     A forward kw below sqrt(eps) times the largest diagonal ratio of K to
     Ms is raised to that floor: K + kw Ms is then numerically K, which is
@@ -260,11 +262,11 @@ def build_forward(k, matrices, period, u_c, u_s=None, lu=None):
     block rows gives the symmetric operator
     ``[[-k w Ms, -K], [-K, +k w Ms]]`` acting on (y_s, y_c) with right-hand
     side (-u_c, -u_s), which MINRES accepts.  ``lu`` is a preconditioner
-    factor from ``mode_factor`` for k >= 1; without it the mode factors its
-    own at kw = k w.
+    factor from ``mode_factor``; without it the mode factors its own at
+    kw = k w (the mean mode: see ``build_forward0``).
     """
     if k == 0:
-        return build_forward0(matrices, u_c)
+        return build_forward0(matrices, u_c, lu=lu)
     if u_s is None:
         raise ValueError("mode k >= 1 needs both cosine and sine loads")
     kw = k * period.omega
@@ -279,12 +281,14 @@ def build_forward(k, matrices, period, u_c, u_s=None, lu=None):
     return ModeSystem(k, "forward", A, lu, np.ones(2), ("y_s", "y_c"), rhs)
 
 
-def build_forward0(matrices, u0):
+def build_forward0(matrices, u0, lu=None):
     """Mean-mode forward system K y = u with gradient-space gauging.
 
     K is singular with the discrete gradients as kernel; the load must be
     consistent.  The right-hand side is projected onto range(K) and the
     returned solution onto the M_sigma-orthogonal complement of the kernel.
+    ``lu`` is a factor of K + kw Ms from ``mode_factor``; without it the
+    mode factors its own at kw = 1.
     """
     K, Ms, G = matrices.K, matrices.Msigma, matrices.G
     u0 = np.asarray(u0, dtype=float)
@@ -303,7 +307,8 @@ def build_forward0(matrices, u0):
         rhs = u0.copy()
         gauge = None
 
-    lu = mode_factor(matrices, 1.0)
+    if lu is None:
+        lu = mode_factor(matrices, 1.0)
 
     def postprocess(y):
         if gauge is None:
@@ -325,13 +330,13 @@ def build_ocp(k, matrices, alpha, period, yd_c, yd_s=None, lu=None):
     sqrt(alpha) balances it against the mass block for every alpha, which a
     plain K + k w Ms factor does not: that one loses its grip as alpha -> 0
     and iteration counts grow by several multiples.  ``lu`` is a factor of
-    P from ``mode_factor`` for k >= 1; without it the mode factors its own
-    at kw = k w.
+    P from ``mode_factor``; without it the mode factors its own at
+    kw = k w (the mean mode: see ``build_ocp0``).
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     if k == 0:
-        return build_ocp0(matrices, alpha, yd_c)
+        return build_ocp0(matrices, alpha, yd_c, lu=lu)
     if yd_s is None:
         raise ValueError("mode k >= 1 needs both cosine and sine data")
     kw = k * period.omega
@@ -353,18 +358,21 @@ def build_ocp(k, matrices, alpha, period, yd_c, yd_s=None, lu=None):
     return ModeSystem(k, "ocp", A, lu, scales, ("y_c", "y_s", "p_c", "p_s"), rhs)
 
 
-def build_ocp0(matrices, alpha, yd0):
+def build_ocp0(matrices, alpha, yd0, lu=None):
     """Mean-mode optimality system [[M, -K], [-K, -M/alpha]], nonsingular.
 
     Preconditioned by blkdiag(P, P/alpha) with P = M + sqrt(alpha) K, the
     mean-mode limit of the modal factor; the mass term keeps P positive
-    definite even though K alone is singular.
+    definite even though K alone is singular.  ``lu`` is a factor of
+    M + sqrt(alpha) (K + kw Ms) from ``mode_factor``; without it the mode
+    factors its own at kw = 0.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     K, M = matrices.K, matrices.M
     A = _block_operator([[(1.0, M), (-1.0, K)], [(-1.0, K), (-1.0 / alpha, M)]], matrices.n)
-    lu = mode_factor(matrices, 0.0, alpha)
+    if lu is None:
+        lu = mode_factor(matrices, 0.0, alpha)
     rhs = np.concatenate([yd0, np.zeros(matrices.n)])
     return ModeSystem(0, "ocp0", A, lu, np.array([1.0, alpha]), ("y_c", "p_c"), rhs)
 

@@ -11,6 +11,7 @@ from eddymh.mesh import build_box_mesh
 from eddymh.presets import (
     _EXP_DATA,
     EIGENVALUE,
+    MEAN_SHARE_BAND,
     PROFILE_CURL_SQ,
     PROFILE_NORM_SQ,
     _exp_data,
@@ -23,7 +24,14 @@ from eddymh.presets import (
     shared_factor,
     solve_benchmark,
 )
-from eddymh.systems import build_forward, build_ocp, solve_mode
+from eddymh.systems import (
+    build_forward,
+    build_forward0,
+    build_ocp,
+    build_ocp0,
+    mode_factor,
+    solve_mode,
+)
 from fem_oracles import difference_norms, field_norms
 
 TWO_PI = 2.0 * math.pi
@@ -288,14 +296,16 @@ def test_error_modes_match_the_difference_norms_oracle(kind, alpha):
     "kind, n, N, alpha", [("forward", 3, 3, None), ("ocp", 2, 2, 0.7)]
 )
 def test_concurrent_solve_equals_mode_by_mode_solves(kind, n, N, alpha):
-    # modes k >= 1 share one factor in the concurrent solve; given the
-    # same factor, the mode-by-mode solves must agree bit for bit
+    # at the default period every mode, the mean mode included, shares one
+    # factor in the concurrent solve; given the same factor, the
+    # mode-by-mode solves must agree bit for bit
     bench = build_benchmark(kind, n, N, alpha=alpha)
+    assert bench.period.omega * math.sqrt(N) <= MEAN_SHARE_BAND
     fields, stats = solve_benchmark(bench)
     assert len(stats) == N + 1
     lu = shared_factor(bench)
     for k in range(N + 1):
-        parts, st = solve_mode(_mode_system(bench, k, lu if k else None))
+        parts, st = solve_mode(_mode_system(bench, k, lu))
         assert st.iterations == stats[k].iterations
         assert st.relative_residual == stats[k].relative_residual
         for name, field in fields.items():
@@ -367,6 +377,78 @@ def test_shared_factor_keeps_minres_counts_near_per_mode_factors(kind, alpha):
         shared = _minres_counts(case, shared_factor(case))
         assert max(shared) <= 1.5 * max(own[:N]), (N, own[:N], shared)
         assert abs(max(shared) - pin) <= 2, (N, shared)
+
+
+def _mean_count(bench, lu=None):
+    return solve_mode(_mode_system(bench, 0, lu))[1].iterations
+
+
+@pytest.mark.parametrize("kind, alpha", list(SHARED_FACTOR_WORST_COUNTS))
+def test_mean_mode_inside_the_band_keeps_its_minres_count_near_its_own(kind, alpha):
+    # at the default period the mean mode solves with P*.  Up to N = 4 its
+    # count stays within 1.5x of its count on its own factor (n = 4:
+    # forward 5-6 against 5, ocp 18-20 against 18 at alpha 0.0115 and 12
+    # against 8 at 31.6); at N = 16 and 64 it may take more (up to 18
+    # against 8 at 31.6) but no more than the slowest mode k >= 1 on P*
+    bench = build_benchmark(kind, 4, 1, alpha=alpha)
+    own = _mean_count(bench)
+    for N in (1, 2, 4, 16, 64):
+        case = dataclasses.replace(bench, period=PeriodSpec(TWO_PI, N))
+        assert case.period.omega * math.sqrt(N) <= MEAN_SHARE_BAND
+        lu = shared_factor(case)
+        shared = _mean_count(case, lu)
+        if N <= 4:
+            assert shared <= 1.5 * own, (N, own, shared)
+        else:
+            assert shared <= max(_minres_counts(case, lu)), (N, shared)
+
+
+@pytest.mark.parametrize("kind, alpha", [("forward", None), ("ocp", 1.0)])
+def test_mean_mode_above_the_band_solves_on_its_own_factor(kind, alpha):
+    # at period 0.1 and N = 2, kw* = 20 pi sqrt(2) is about 89: the mean
+    # mode factors its own, exactly as its builder does without a factor
+    bench = build_benchmark(kind, 3, 2, alpha=alpha, T=0.1, preset="trig")
+    assert bench.period.omega * math.sqrt(2) > MEAN_SHARE_BAND
+    fields, stats = solve_benchmark(bench)
+    (load,) = bench.mode_load(0)
+    if kind == "forward":
+        system = build_forward0(bench.matrices, load)
+    else:
+        system = build_ocp0(bench.matrices, alpha, load)
+    parts, st = solve_mode(system)
+    assert (st.iterations, st.relative_residual, st.converged) == (
+        stats[0].iterations,
+        stats[0].relative_residual,
+        stats[0].converged,
+    )
+    for name, field in fields.items():
+        np.testing.assert_array_equal(field.mode0, parts[{"state": "y_c", "adjoint": "p_c"}[name]])
+
+
+@pytest.mark.parametrize("kind, alpha", [("forward", None), ("ocp", 0.7)])
+def test_a_case_factors_one_mode_preconditioner(monkeypatch, kind, alpha):
+    # inside the band a case factors P* at kw* = sqrt(N) only; at N = 0
+    # the mean mode factors its own (kw = 1 forward, 0 ocp), and above the
+    # band it factors its own beside P*.  The gauge's nodal factors are
+    # not mode factors.
+    frequencies = []
+
+    def counting(*args, **kwargs):
+        frequencies.append(args[1])
+        return mode_factor(*args, **kwargs)
+
+    monkeypatch.setattr("eddymh.systems.mode_factor", counting)
+    monkeypatch.setattr("eddymh.presets.mode_factor", counting)
+    own = 1.0 if kind == "forward" else 0.0
+    for N, T, preset, expected in (
+        (1, TWO_PI, "exp", [1.0]),
+        (4, TWO_PI, "exp", [2.0]),
+        (0, TWO_PI, "exp", [own]),
+        (2, 0.1, "trig", [own, 20.0 * math.pi * math.sqrt(2.0)]),
+    ):
+        frequencies.clear()
+        solve_benchmark(build_benchmark(kind, 2, N, alpha=alpha, T=T, preset=preset))
+        assert sorted(frequencies) == pytest.approx(expected), (N, T, frequencies)
 
 
 def test_concurrent_solve_raises_a_mode_failure():
