@@ -11,6 +11,7 @@ set with finitely many modes is available for truncation-free runs.
 
 import math
 import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,11 +23,12 @@ from eddymh.edge_fem import (
     assemble_load,
     basis_data,
     fe_curls,
-    fe_values,
+    fe_vertex_values,
     integrate_squared,
 )
 from eddymh.harmonics import FourierField, PeriodSpec
 from eddymh.mesh import build_box_mesh
+from eddymh.quadrature import TET_P5_BARY, TET_P5_WEIGHTS
 from eddymh.systems import (
     SystemMatrices,
     build_forward,
@@ -188,15 +190,19 @@ class Benchmark:
             return (float(c) * self.load_vector,)
         return float(c) * self.load_vector, float(s) * self.load_vector
 
-    def exact_state(self, k):
-        """Exact state amplitudes (A_c, A_s) of the profile; vectorized."""
+    def exact_amplitudes(self, k):
+        """Exact (A_c, A_s), then for ocp (P_c, P_s); vectorized."""
         if self.kind == "forward":
             return scalar_forward_exact(k, self.data_modes, self.period.omega)
-        return scalar_ocp_exact(k, self.alpha, self.data_modes, self.period.omega)[:2]
+        return scalar_ocp_exact(k, self.alpha, self.data_modes, self.period.omega)
+
+    def exact_state(self, k):
+        """Exact state amplitudes (A_c, A_s) of the profile; vectorized."""
+        return self.exact_amplitudes(k)[:2]
 
     def exact_adjoint(self, k):
         """Exact adjoint amplitudes (P_c, P_s) of the control problem."""
-        return scalar_ocp_exact(k, self.alpha, self.data_modes, self.period.omega)[2:]
+        return self.exact_amplitudes(k)[2:]
 
 
 def build_benchmark(kind, n, N, alpha=None, T=2.0 * math.pi, preset="exp"):
@@ -357,54 +363,77 @@ class ErrorBreakdown:
         return float(sum(self.norm_modes) + self.norm_tail)
 
 
-def error_breakdown(bench, field, exact):
-    """Exact squared errors of a modal FE field against scalar amplitudes.
+# the profile's degree-5 moments, one entry per live mesh, dropped with it
+_MOMENTS = weakref.WeakKeyDictionary()
 
-    ``exact`` maps mode indices (vectorized) to amplitude pairs of the
-    spatial profile.  Modes up to the truncation are integrated with the
-    degree-5 rule; the remaining series is summed directly to TAIL_KMAX.
-    """
-    mesh, dofmap, period = bench.mesh, bench.dofmap, bench.period
-    T, omega = period.T, period.omega
-    # the profile and its curl at the degree-5 points, scaled per member
-    points = basis_data(mesh).points
-    values, curls = (
-        f(points.reshape(-1, 3)).reshape(points.shape) for f in (profile, profile_curl)
-    )
-    semi_modes = []
-    norm_modes = []
-    for k in range(period.N + 1):
-        # the mean mode has no sine member; its time weight is T, not T / 2
-        members = list(zip(exact(k), field.mode(k)))[: 1 if k == 0 else 2]
-        l2 = 0.0
-        curl = 0.0
-        for amp, coef in members:
-            coef = dofmap.extend(coef)
-            l2 += integrate_squared(mesh, float(amp) * values - fe_values(mesh, coef))
-            curl += integrate_squared(
-                mesh, float(amp) * curls - fe_curls(mesh, coef)[:, None, :]
-            )
-        weight = T if k == 0 else 0.5 * T
-        semi_modes.append(weight * (k * omega * l2 + curl))
-        norm_modes.append(weight * ((1.0 + k * omega) * l2 + curl))
-    semi_tail = 0.0
-    norm_tail = 0.0
-    for first in range(period.N + 1, TAIL_KMAX + 1, TAIL_CHUNK):
-        ks = np.arange(first, min(first + TAIL_CHUNK, TAIL_KMAX + 1))
-        tc, ts = exact(ks)
-        amp_sq = (np.asarray(tc) ** 2 + np.asarray(ts) ** 2) * PROFILE_NORM_SQ
-        curl_sq = (np.asarray(tc) ** 2 + np.asarray(ts) ** 2) * PROFILE_CURL_SQ
-        kw = ks * omega
-        semi_tail += float(np.sum(kw * amp_sq + curl_sq))
-        norm_tail += float(np.sum((1.0 + kw) * amp_sq + curl_sq))
-    return ErrorBreakdown(
-        semi_modes, norm_modes, 0.5 * T * semi_tail, 0.5 * T * norm_tail
-    )
+
+def _profile_moments(mesh):
+    """(V, Q|p - Πp|^2, cbar, Q|curl p - cbar|^2) of the profile p under
+    the degree-5 rule Q; ``benchmark_errors`` defines them."""
+    moments = _MOMENTS.get(mesh)
+    if moments is None:
+        points = basis_data(mesh).points
+        values, curls = (
+            f(points.reshape(-1, 3)).reshape(points.shape) for f in (profile, profile_curl)
+        )
+        b = 6.0 * (TET_P5_BARY.T * TET_P5_WEIGHTS) @ values
+        V = 20.0 * (b - b.sum(axis=1, keepdims=True) / 5.0)
+        cbar = 6.0 * (TET_P5_WEIGHTS @ curls)
+        osc = integrate_squared(mesh, values - TET_P5_BARY @ V)
+        curl_osc = integrate_squared(mesh, curls - cbar[:, None, :])
+        moments = _MOMENTS[mesh] = (V, osc, cbar, curl_osc)
+    return moments
+
+
+def _member_errors(mesh, amp, coef):
+    """Q|amp p - u|^2 and Q|amp curl p - curl u|^2 for the FE field u with
+    edge coefficients ``coef``, split as ``benchmark_errors`` describes."""
+    V, osc, cbar, curl_osc = _profile_moments(mesh)
+    vols = basis_data(mesh).vols
+    D = amp * V - fe_vertex_values(mesh, coef)
+    S, G = np.einsum("tvi->ti", D), amp * cbar - fe_curls(mesh, coef)
+    l2 = vols @ (np.einsum("ti,ti->t", S, S) + np.einsum("tvi,tvi->t", D, D)) / 20.0
+    return amp * amp * osc + l2, amp * amp * curl_osc + vols @ np.einsum("ti,ti->t", G, G)
 
 
 def benchmark_errors(bench, fields):
-    """Error breakdowns for the solved fields: state and, for ocp, adjoint."""
-    out = {"state": error_breakdown(bench, fields["state"], bench.exact_state)}
-    if bench.kind == "ocp":
-        out["adjoint"] = error_breakdown(bench, fields["adjoint"], bench.exact_adjoint)
-    return out
+    """Exact squared errors of the solved fields: state and, for ocp, adjoint.
+
+    A member of a mode up to the truncation pairs an amplitude a with an FE
+    field u; its errors are those of a p - u under the degree-5 rule Q.  Let
+    Πp be the Q-projection of the profile p onto linear fields per tet, with
+    vertex values V = 20 (b - sum_j b_j / 5), b_j = Q(p λ_j) / vol (the P1
+    Gram matrix is vol (I + 11^T) / 20), and cbar the tet mean of curl p.
+    p - Πp is Q-orthogonal to linear fields and Q is exact for degree 2, so
+    per tet Q|a p - u|^2 = a^2 Q|p - Πp|^2 + vol/20 (|sum_i D_i|^2 +
+    sum_i |D_i|^2) for D = a V - u at the vertices, and Q|a curl p - curl u|^2
+    = a^2 Q|curl p - cbar|^2 + vol |a cbar - curl u|^2: sums of squares that
+    equal the rule to rounding.  The series past the truncation is summed
+    directly to TAIL_KMAX, one amplitude call per chunk for both fields.
+    """
+    period, T, omega = bench.period, bench.period.T, bench.period.omega
+    names = ("state", "adjoint")[: 1 if bench.kind == "forward" else 2]
+    errors = {name: ErrorBreakdown([], [], 0.0, 0.0) for name in names}
+    for k in range(period.N + 1):
+        amps = bench.exact_amplitudes(k)
+        # the mean mode has no sine member; its time weight is T, not T / 2
+        weight = T if k == 0 else 0.5 * T
+        for i, (name, e) in enumerate(errors.items()):
+            members = zip(amps[2 * i : 2 * i + (1 if k == 0 else 2)], fields[name].mode(k))
+            l2 = curl = 0.0
+            for amp, coef in members:
+                dl2, dcurl = _member_errors(bench.mesh, float(amp), bench.dofmap.extend(coef))
+                l2, curl = l2 + dl2, curl + dcurl
+            e.semi_modes.append(weight * (k * omega * l2 + curl))
+            e.norm_modes.append(weight * ((1.0 + k * omega) * l2 + curl))
+    for first in range(period.N + 1, TAIL_KMAX + 1, TAIL_CHUNK):
+        ks = np.arange(first, min(first + TAIL_CHUNK, TAIL_KMAX + 1))
+        amps, kw = bench.exact_amplitudes(ks), ks * omega
+        for i, e in enumerate(errors.values()):
+            sq = np.asarray(amps[2 * i]) ** 2 + np.asarray(amps[2 * i + 1]) ** 2
+            amp_sq, curl_sq = sq * PROFILE_NORM_SQ, sq * PROFILE_CURL_SQ
+            e.semi_tail += float(np.sum(kw * amp_sq + curl_sq))
+            e.norm_tail += float(np.sum((1.0 + kw) * amp_sq + curl_sq))
+    for e in errors.values():
+        e.semi_tail, e.norm_tail = 0.5 * T * e.semi_tail, 0.5 * T * e.norm_tail
+    return errors

@@ -6,6 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import eddymh.cli
+import eddymh.presets
+from eddymh.edge_fem import basis_data, integrate_squared
 from eddymh.harmonics import PeriodSpec, fourier_coeff, remainder
 from eddymh.mesh import build_box_mesh
 from eddymh.presets import (
@@ -14,7 +17,11 @@ from eddymh.presets import (
     MEAN_SHARE_BAND,
     PROFILE_CURL_SQ,
     PROFILE_NORM_SQ,
+    TAIL_CHUNK,
+    TAIL_KMAX,
     _exp_data,
+    _member_errors,
+    _profile_moments,
     benchmark_errors,
     build_benchmark,
     profile,
@@ -32,6 +39,7 @@ from eddymh.systems import (
     mode_factor,
     solve_mode,
 )
+from eddymh.quadrature import TET_P5_BARY, TET_P5_WEIGHTS
 from fem_oracles import difference_norms, field_norms
 
 TWO_PI = 2.0 * math.pi
@@ -290,6 +298,119 @@ def test_error_modes_match_the_difference_norms_oracle(kind, alpha):
                 l2, curl = l2 + dl2, curl + dcurl
             expected = (T if k == 0 else 0.5 * T) * (k * omega * l2 + curl)
             assert semi == pytest.approx(expected, rel=1e-14)
+
+
+def _quadrature_breakdown(bench, field, exact):
+    # each member streamed over the 27 degree-5 points per tet by the
+    # oracle, and the series tail summed field by field, chunk by chunk
+    omega, T = bench.period.omega, bench.period.T
+    semi, norm = [], []
+    for k in range(bench.period.N + 1):
+        l2 = curl = 0.0
+        for amp, coef in list(zip(exact(k), field.mode(k)))[: 1 if k == 0 else 2]:
+            dl2, dcurl = difference_norms(
+                bench.mesh,
+                bench.dofmap.extend(coef),
+                lambda p, a=float(amp): a * profile(p),
+                lambda p, a=float(amp): a * profile_curl(p),
+            )
+            l2, curl = l2 + dl2, curl + dcurl
+        weight = T if k == 0 else 0.5 * T
+        semi.append(weight * (k * omega * l2 + curl))
+        norm.append(weight * ((1.0 + k * omega) * l2 + curl))
+    semi_tail = norm_tail = 0.0
+    for first in range(bench.period.N + 1, TAIL_KMAX + 1, TAIL_CHUNK):
+        ks = np.arange(first, min(first + TAIL_CHUNK, TAIL_KMAX + 1))
+        tc, ts = exact(ks)
+        amp_sq = (np.asarray(tc) ** 2 + np.asarray(ts) ** 2) * PROFILE_NORM_SQ
+        curl_sq = (np.asarray(tc) ** 2 + np.asarray(ts) ** 2) * PROFILE_CURL_SQ
+        semi_tail += float(np.sum(ks * omega * amp_sq + curl_sq))
+        norm_tail += float(np.sum((1.0 + ks * omega) * amp_sq + curl_sq))
+    return semi, norm, 0.5 * T * semi_tail, 0.5 * T * norm_tail
+
+
+ERROR_SWEEP = [
+    (kind, alpha, preset, T)
+    for kind, alphas in (("forward", [None]), ("ocp", [1e-12, 0.7, 1e12]))
+    for alpha in alphas
+    for preset, T in (("exp", TWO_PI), ("trig", 0.1), ("trig", TWO_PI), ("trig", 1e4))
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind, alpha, preset, T", ERROR_SWEEP)
+def test_closed_form_errors_match_the_degree5_quadrature(kind, alpha, preset, T, n):
+    # the moments' closed form equals the 27-point stream to rounding on
+    # every mode entry, and the tails, summed in the same order, bit for bit
+    bench = build_benchmark(kind, n, 2, alpha=alpha, T=T, preset=preset)
+    fields, _ = solve_benchmark(bench)
+    errors = benchmark_errors(bench, fields)
+    exact = {"state": bench.exact_state, "adjoint": bench.exact_adjoint}
+    assert set(errors) == ({"state"} if kind == "forward" else {"state", "adjoint"})
+    for name, err in errors.items():
+        semi, norm, semi_tail, norm_tail = _quadrature_breakdown(bench, fields[name], exact[name])
+        np.testing.assert_allclose(err.semi_modes, semi, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(err.norm_modes, norm, rtol=1e-13, atol=0.0)
+        assert (err.semi_tail, err.norm_tail) == (semi_tail, norm_tail)
+
+
+def test_profile_projection_is_orthogonal_to_linear_fields():
+    # Q((p - Πp) λ_j) vanishes to rounding per tet, component and vertex,
+    # and so does Q(curl p - cbar)
+    mesh = build_box_mesh(3)
+    V, _, cbar, _ = _profile_moments(mesh)
+    bd = basis_data(mesh)
+    points = bd.points.reshape(-1, 3)
+    values = profile(points).reshape(bd.points.shape)
+    curls = profile_curl(points).reshape(bd.points.shape)
+    moments = 6.0 * bd.vols[:, None, None] * (TET_P5_BARY.T * TET_P5_WEIGHTS)
+    residual = moments @ (values - TET_P5_BARY @ V)
+    assert np.all(np.abs(residual) <= 1e-14 * (moments @ np.abs(values)))
+    mean_residual = 6.0 * bd.vols[:, None] * (TET_P5_WEIGHTS @ (curls - cbar[:, None, :]))
+    scale = 6.0 * bd.vols[:, None] * (TET_P5_WEIGHTS @ np.abs(curls))
+    assert np.all(np.abs(mean_residual) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("amp", [1.0, -3.7, 1e-9])
+def test_zero_field_errors_are_the_scaled_profile_norms(amp):
+    mesh = build_box_mesh(3)
+    bd = basis_data(mesh)
+    points = bd.points.reshape(-1, 3)
+    l2, curl = _member_errors(mesh, amp, np.zeros(mesh.num_edges))
+    norm_sq = integrate_squared(mesh, profile(points).reshape(bd.points.shape))
+    curl_sq = integrate_squared(mesh, profile_curl(points).reshape(bd.points.shape))
+    assert l2 == pytest.approx(amp * amp * norm_sq, rel=1e-14)
+    assert curl == pytest.approx(amp * amp * curl_sq, rel=1e-14)
+
+
+def test_an_ocp_run_evaluates_the_profile_once_per_mesh_for_its_errors(monkeypatch, tmp_path):
+    # the three alphas' state and adjoint breakdowns all read the moments
+    # the first breakdown computed on the run's one mesh
+    calls = {"profile": 0, "profile_curl": 0}
+    inside = []
+
+    def counted(name, f):
+        def wrapper(points):
+            if inside:
+                calls[name] += 1
+            return f(points)
+
+        return wrapper
+
+    def errors(bench, fields):
+        inside.append(True)
+        try:
+            return benchmark_errors(bench, fields)
+        finally:
+            inside.pop()
+
+    for name in calls:
+        monkeypatch.setattr(f"eddymh.presets.{name}", counted(name, getattr(eddymh.presets, name)))
+    monkeypatch.setattr(eddymh.cli, "benchmark_errors", errors)
+    config = tmp_path / "config.json"
+    config.write_text('{"alphas": [0.01, 1.0, 100.0]}', encoding="utf-8")
+    assert eddymh.cli.main(["ocp", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"profile": 1, "profile_curl": 1}
 
 
 @pytest.mark.parametrize(
