@@ -715,7 +715,7 @@ def minimize_majorant(
             ):
                 report.converged, kept[j] = True, None
             elif iteration < maxit and kind == "forward":
-                report.betas = (beta_optimal(cf * cf * parts[0], parts[1]),)
+                report.betas = (_balance(cf * cf * parts[0], parts[1]),)  # cf^2 r1 may be 0
             elif iteration < maxit:
                 report.betas = beta_optimal_ocp(*parts, cf)
     if mode is not None:

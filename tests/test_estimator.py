@@ -393,7 +393,7 @@ def test_summed_total_is_at_most_the_joint_bound(kind, modes, tail, common):
         modes = [sums[:2] for sums in modes]
         summed = majorant_forward(0.0, 0.0, consts, BETA_MIN, tail=tail)
         for r1, r2 in modes:
-            if r1 or r2:
+            if cf * cf * r1 or r2:  # a subnormal r1 can scale to 0
                 summed += majorant_forward(r1, r2, consts, beta_optimal(cf * cf * r1, r2))
         joint = majorant_forward(*map(sum, zip(*modes)), consts, common[0], tail=tail)
     else:
